@@ -13,7 +13,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qem_bench::bench_universe;
 use qem_core::reports::table4;
-use qem_core::{Campaign, CampaignOptions, EcnClass, ScanOptions, Scanner, VantagePoint};
+use qem_core::{
+    Campaign, CampaignOptions, EcnClass, ScanOptions, Scanner, SnapshotSource, VantagePoint,
+};
 use qem_netsim::aqm::remark_then_aqm_probability;
 use qem_netsim::{AqmConfig, EcnPolicy};
 use qem_packet::ecn::EcnCodepoint;

@@ -151,64 +151,11 @@ fn full_connection(c: &mut Criterion) {
     group.finish();
 }
 
-/// The domain join is the entry point of every report builder; rendering
-/// the full report set used to re-run it per table.  This measures the win
-/// of computing the join once via `JoinedSnapshot` (satellite of the
-/// qem-store PR: memoize `domain_records` and show the difference).
-fn domain_join(c: &mut Criterion) {
-    use qem_bench::bench_universe;
-    use qem_core::reports::{table1, table2, table3, table4, table5, table6, table7};
-    use qem_core::{Campaign, CampaignOptions, JoinedSnapshot, SnapshotSource};
-
-    let universe = bench_universe();
-    let campaign = Campaign::new(&universe);
-    let snapshot = campaign
-        .run_main(&CampaignOptions::paper_default(), false)
-        .v4;
-
-    let mut group = c.benchmark_group("domain_join");
-    group.sample_size(10);
-    group.bench_function("domain_records_single_join", |b| {
-        b.iter(|| black_box(snapshot.domain_records(&universe)))
-    });
-    group.bench_function("domain_records_memoized_reuse", |b| {
-        let joined = JoinedSnapshot::new(&universe, &snapshot);
-        b.iter(|| black_box(joined.domain_records(&universe)))
-    });
-    // The end-to-end effect: all seven tables from a plain snapshot (seven
-    // joins) vs from a JoinedSnapshot (one join, seven cheap copies).
-    group.bench_function("tables_1_to_7_plain", |b| {
-        b.iter(|| {
-            black_box(table1(&universe, &snapshot));
-            black_box(table2(&universe, &snapshot));
-            black_box(table3(&universe, &snapshot));
-            black_box(table4(&universe, &snapshot));
-            black_box(table5(&universe, &snapshot, None));
-            black_box(table6(&universe, &snapshot));
-            black_box(table7(&universe, &snapshot));
-        })
-    });
-    group.bench_function("tables_1_to_7_joined", |b| {
-        b.iter(|| {
-            let joined = JoinedSnapshot::new(&universe, &snapshot);
-            black_box(table1(&universe, &joined));
-            black_box(table2(&universe, &joined));
-            black_box(table3(&universe, &joined));
-            black_box(table4(&universe, &joined));
-            black_box(table5(&universe, &joined, None));
-            black_box(table6(&universe, &joined));
-            black_box(table7(&universe, &joined));
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     packet_codecs,
     validation_machine,
     path_transit,
-    full_connection,
-    domain_join
+    full_connection
 );
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! the CE-probing comparison run and the distributed cloud measurement.
 
 use crate::executor::ShardedExecutor;
-use crate::observation::{DomainRecord, HostMeasurement, MirrorUse};
+use crate::observation::HostMeasurement;
 use crate::resilience::RetryPolicy;
 use crate::scanner::{ProbeMode, ScanOptions, Scanner};
 use crate::vantage::VantagePoint;
@@ -117,41 +117,6 @@ impl SnapshotMeasurement {
     /// Look up the measurement for a host.
     pub fn host(&self, host_id: usize) -> Option<&HostMeasurement> {
         self.hosts.get(&host_id)
-    }
-
-    /// Build per-domain records by joining the universe's DNS data with the
-    /// per-host measurements — the paper's per-domain vs per-IP distinction.
-    pub fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        universe
-            .domains
-            .iter()
-            .enumerate()
-            .map(|(idx, domain)| {
-                let host_id = domain
-                    .host
-                    .filter(|&h| universe.hosts[h].addr(self.ipv6).is_some());
-                let measurement = host_id.and_then(|h| self.hosts.get(&h));
-                let quic = measurement.map(|m| m.quic_reachable).unwrap_or(false);
-                let mirror_use = if quic {
-                    measurement.map(|m| m.mirror_use()).unwrap_or_default()
-                } else {
-                    MirrorUse::default()
-                };
-                let class = if quic {
-                    measurement.and_then(|m| m.ecn_class())
-                } else {
-                    None
-                };
-                DomainRecord {
-                    domain_idx: idx,
-                    resolved: host_id.is_some(),
-                    host_id,
-                    quic,
-                    mirror_use,
-                    class,
-                }
-            })
-            .collect()
     }
 
     /// Number of hosts reachable via QUIC in this snapshot.
@@ -349,6 +314,7 @@ impl<'a> Campaign<'a> {
 mod tests {
     use super::*;
     use crate::observation::EcnClass;
+    use crate::source::SnapshotSource;
     use qem_web::UniverseConfig;
 
     fn universe() -> Universe {

@@ -33,5 +33,5 @@ pub use observation::{DomainRecord, EcnClass, HostMeasurement, MirrorUse};
 pub use qem_netsim::CrossTraffic;
 pub use resilience::{classify_probe, ProbeError, RetryPolicy};
 pub use scanner::{ScanOptions, Scanner};
-pub use source::{JoinedSnapshot, SnapshotSource};
+pub use source::SnapshotSource;
 pub use vantage::{CloudProvider, VantagePoint};

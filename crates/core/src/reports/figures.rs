@@ -2,14 +2,14 @@
 //! Figure 2 the pipeline diagram; neither carries data).
 //!
 //! Like the table builders, every figure builder is generic over
-//! [`SnapshotSource`] and gathers the per-host attributes it needs (server
-//! family, QUIC version, TCP category) in one streaming pass, so the same
-//! code renders a figure from a live campaign or from a `qem-store`
-//! directory with byte-identical output.
+//! [`SnapshotSource`], consumes the streamed [`domain_join`] and gathers the
+//! per-host attributes it needs (server family, QUIC version, TCP category)
+//! in one streaming pass, so the same code renders a figure from a live
+//! campaign or from a `qem-store` directory with byte-identical output.
 
 use super::fmt_count;
 use crate::observation::EcnClass;
-use crate::source::SnapshotSource;
+use crate::source::{domain_join, SnapshotSource};
 use crate::vantage::VantagePoint;
 use qem_web::{SnapshotDate, Universe};
 use serde::Serialize;
@@ -73,10 +73,9 @@ pub fn figure3<S: SnapshotSource>(universe: &Universe, snapshots: &[S]) -> Figur
             }
             host_family.insert(m.host_id, (family, fp));
         });
-        let records = snapshot.domain_records(universe);
         let mut by_family: BTreeMap<String, u64> = BTreeMap::new();
         let mut total_quic = 0u64;
-        for record in &records {
+        for record in domain_join(universe, snapshot) {
             if !universe.domains[record.domain_idx].lists.cno || !record.quic {
                 continue;
             }
@@ -180,9 +179,7 @@ pub fn figure4<S: SnapshotSource>(universe: &Universe, snapshots: &[S]) -> Figur
                 versions.insert(m.host_id, report.version.label());
             }
         });
-        let records = snapshot.domain_records(universe);
-        let states: Vec<DomainState> = records
-            .iter()
+        let states: Vec<DomainState> = domain_join(universe, snapshot)
             .map(|record| {
                 if !record.quic {
                     return DomainState::Unavailable;
@@ -365,15 +362,13 @@ pub fn figure5<S4: SnapshotSource + ?Sized, S6: SnapshotSource + ?Sized>(
     v4: &S4,
     v6: &S6,
 ) -> Figure5 {
-    let records_v4 = v4.domain_records(universe);
-    let records_v6 = v6.domain_records(universe);
     let mut fig = Figure5 {
         v4: BTreeMap::new(),
         v6: BTreeMap::new(),
         v4_only: 0,
         cross: BTreeMap::new(),
     };
-    for (r4, r6) in records_v4.iter().zip(&records_v6) {
+    for (r4, r6) in domain_join(universe, v4).zip(domain_join(universe, v6)) {
         if !universe.domains[r4.domain_idx].lists.cno {
             continue;
         }
@@ -524,13 +519,12 @@ pub fn figure6<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) ->
         });
         categories.insert(m.host_id, (tcp_category, quic_category));
     });
-    let records = snapshot.domain_records(universe);
     let mut fig = Figure6 {
         tcp: BTreeMap::new(),
         quic: BTreeMap::new(),
         cross: BTreeMap::new(),
     };
-    for record in &records {
+    for record in domain_join(universe, snapshot) {
         if !universe.domains[record.domain_idx].lists.cno {
             continue;
         }
@@ -606,7 +600,7 @@ pub fn figure7<SM: SnapshotSource, SC: SnapshotSource>(
     // Domain weight per host, from the main vantage point's IPv4 view.
     let mut weight: BTreeMap<usize, u64> = BTreeMap::new();
     let mut total_weight = 0u64;
-    for record in main_v4.domain_records(universe) {
+    for record in domain_join(universe, main_v4) {
         if !universe.domains[record.domain_idx].lists.cno || !record.quic {
             continue;
         }

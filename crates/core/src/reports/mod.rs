@@ -19,6 +19,41 @@ pub use tables::{
     Table1, Table1Row, Table4, Table4Row, Table5, Table6, Table7, Table7Row,
 };
 
+/// A set of host ids stored as a dense bitset — how the per-IP columns count
+/// distinct hosts.  Host ids are dense indices into `universe.hosts`, so a
+/// bit per host costs a few kilobytes, and an insert is one word operation
+/// instead of a tree walk; the set grows to fit the largest id inserted.
+#[derive(Debug, Clone, Default)]
+pub struct HostSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl HostSet {
+    /// Add `host`; returns whether it was not yet in the set.
+    pub fn insert(&mut self, host: usize) -> bool {
+        let (word, bit) = (host / 64, 1u64 << (host % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let slot = &mut self.words[word];
+        let new = *slot & bit == 0;
+        *slot |= bit;
+        self.len += usize::from(new);
+        new
+    }
+
+    /// Number of distinct hosts in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// Format a count with thousands separators (tables in the paper use `k`/`M`
 /// suffixes; we keep exact counts but group digits for readability).
 pub(crate) fn fmt_count(value: u64) -> String {
@@ -41,6 +76,50 @@ pub(crate) fn fmt_pct(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{Campaign, CampaignOptions, SnapshotMeasurement};
+    use crate::source::SnapshotSource;
+    use qem_web::{Universe, UniverseConfig};
+    use std::slice::from_ref;
+
+    /// Every table and figure that reads a snapshot's domain join.
+    fn render<S: SnapshotSource>(universe: &Universe, v4: &S, v6: &S) -> String {
+        [
+            table1(universe, v4).to_string(),
+            table2(universe, v4).to_string(),
+            table3(universe, v4).to_string(),
+            table4(universe, v4).to_string(),
+            table5(universe, v4, Some(v6)).to_string(),
+            table6(universe, v4).to_string(),
+            table7(universe, v4).to_string(),
+            figure3(universe, from_ref(v4)).to_string(),
+            figure4(universe, from_ref(v4)).to_string(),
+            figure5(universe, v4, v6).to_string(),
+            figure6(universe, v4).to_string(),
+            figure7::<S, S>(universe, v4, &[]).to_string(),
+        ]
+        .concat()
+    }
+
+    #[test]
+    fn host_ids_outside_the_universe_are_ignored() {
+        let universe = Universe::generate(&UniverseConfig::tiny());
+        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), true);
+        let v6 = result.v6.expect("IPv6 was requested");
+        // Stream a copy of a mirroring host under an id no domain can name,
+        // after every real host (the order a store would stream it in).
+        let with_stray = |snapshot: &SnapshotMeasurement| {
+            let mut stray = snapshot.clone();
+            let mirroring = result.v4.hosts.values().find(|m| m.mirror_use().mirroring);
+            let mut host = mirroring.cloned().expect("a mirroring host");
+            host.host_id = universe.hosts.len() + 7;
+            stray.hosts.insert(host.host_id, host);
+            stray
+        };
+        assert_eq!(
+            render(&universe, &with_stray(&result.v4), &with_stray(&v6)),
+            render(&universe, &result.v4, &v6)
+        );
+    }
 
     #[test]
     fn count_formatting_groups_digits() {

@@ -2,15 +2,16 @@
 //!
 //! Every builder is generic over [`SnapshotSource`], so the same code renders
 //! a table from a live in-memory campaign or from a `qem-store` directory on
-//! disk — and produces byte-identical output either way.  Builders that need
-//! per-host attributes beyond the domain join (trace verdicts for Tables 4
-//! and 7) collect them in one streaming pass up front instead of random-
-//! accessing the snapshot, so a store-backed source never has to hold more
-//! than one segment in memory.
+//! disk — and produces byte-identical output either way.  Each builder
+//! consumes the streamed [`domain_join`] and counts distinct IPs in a
+//! [`HostSet`].  Builders that need per-host attributes beyond the domain
+//! join (trace verdicts for Tables 4 and 7) collect them in one streaming
+//! pass up front instead of random-accessing the snapshot, so a store-backed
+//! source never has to hold more than one segment in memory.
 
-use super::{fmt_count, fmt_pct};
+use super::{fmt_count, fmt_pct, HostSet};
 use crate::observation::EcnClass;
-use crate::source::SnapshotSource;
+use crate::source::{domain_join, SnapshotSource};
 use qem_tracebox::PathVerdict;
 use qem_web::Universe;
 use serde::Serialize;
@@ -94,7 +95,6 @@ pub struct Table1 {
 
 /// Build Table 1 from the main IPv4 snapshot.
 pub fn table1<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table1 {
-    let records = snapshot.domain_records(universe);
     let mut rows = Vec::new();
     for scope in [Scope::Toplists, Scope::Cno] {
         // Domain-level counts.
@@ -104,11 +104,11 @@ pub fn table1<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> 
         let mut mirroring = 0u64;
         let mut uses = 0u64;
         // IP-level sets.
-        let mut resolved_ips = BTreeSet::new();
-        let mut quic_ips = BTreeSet::new();
-        let mut mirroring_ips = BTreeSet::new();
-        let mut use_ips = BTreeSet::new();
-        for record in &records {
+        let mut resolved_ips = HostSet::default();
+        let mut quic_ips = HostSet::default();
+        let mut mirroring_ips = HostSet::default();
+        let mut use_ips = HostSet::default();
+        for record in domain_join(universe, snapshot) {
             if !scope.matches(universe, record.domain_idx) {
                 continue;
             }
@@ -230,7 +230,6 @@ fn provider_table<S: SnapshotSource + ?Sized>(
     scope: Scope,
     listed: usize,
 ) -> ProviderTable {
-    let records = snapshot.domain_records(universe);
     #[derive(Default, Clone)]
     struct Acc {
         total: u64,
@@ -239,7 +238,7 @@ fn provider_table<S: SnapshotSource + ?Sized>(
     }
     let mut per_org: BTreeMap<String, Acc> = BTreeMap::new();
     let mut total_quic = 0u64;
-    for record in &records {
+    for record in domain_join(universe, snapshot) {
         if !scope.matches(universe, record.domain_idx) || !record.quic {
             continue;
         }
@@ -391,12 +390,11 @@ pub struct Table4 {
 
 /// Build Table 4 from the main IPv4 snapshot.
 pub fn table4<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table4 {
-    let records = snapshot.domain_records(universe);
     let verdicts = trace_verdicts(snapshot);
     let mut per_org: BTreeMap<String, Table4Row> = BTreeMap::new();
     let mut totals = (0u64, 0u64, 0u64);
-    let mut ips: [BTreeSet<usize>; 3] = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
-    for record in &records {
+    let mut ips: [HostSet; 3] = Default::default();
+    for record in domain_join(universe, snapshot) {
         if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
             continue;
         }
@@ -517,10 +515,9 @@ fn classify_snapshot<S: SnapshotSource + ?Sized>(
     universe: &Universe,
     snapshot: &S,
 ) -> BTreeMap<EcnClass, ClassCount> {
-    let records = snapshot.domain_records(universe);
     let mut counts: BTreeMap<EcnClass, ClassCount> = BTreeMap::new();
-    let mut ips: BTreeMap<EcnClass, BTreeSet<usize>> = BTreeMap::new();
-    for record in &records {
+    let mut ips: BTreeMap<EcnClass, HostSet> = BTreeMap::new();
+    for record in domain_join(universe, snapshot) {
         if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
             continue;
         }
@@ -606,9 +603,8 @@ pub struct Table6 {
 
 /// Build Table 6 from the main IPv4 snapshot.
 pub fn table6<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table6 {
-    let records = snapshot.domain_records(universe);
     let mut per_class: BTreeMap<EcnClass, BTreeMap<String, u64>> = BTreeMap::new();
-    for record in &records {
+    for record in domain_join(universe, snapshot) {
         if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
             continue;
         }
@@ -695,61 +691,51 @@ pub struct Table7 {
 
 /// Build Table 7 from the main IPv4 snapshot.
 pub fn table7<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table7 {
-    let records = snapshot.domain_records(universe);
     let verdicts = trace_verdicts(snapshot);
-    let mut remarking = Table7Row::default();
-    let mut undercount = Table7Row::default();
-    let mut ip_sets: BTreeMap<(u8, u8), BTreeSet<usize>> = BTreeMap::new();
-    for record in &records {
+    let mut rows = [Table7Row::default(); 2];
+    let mut ips: [[HostSet; 4]; 2] = Default::default();
+    for record in domain_join(universe, snapshot) {
         if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
             continue;
         }
         let class = match record.class {
-            Some(EcnClass::RemarkEct1) => 0u8,
-            Some(EcnClass::Undercount) => 1u8,
+            Some(EcnClass::RemarkEct1) => 0,
+            Some(EcnClass::Undercount) => 1,
             _ => continue,
         };
         let Some(host) = record.host_id else { continue };
-        let verdict = verdicts.get(&host).copied();
-        let column = match verdict {
-            Some(PathVerdict::RemarkedToEct1) => 0u8,
-            Some(PathVerdict::Cleared) => 1u8,
+        let column = match verdicts.get(&host) {
+            Some(PathVerdict::RemarkedToEct1) => 0,
+            Some(PathVerdict::Cleared) => 1,
             Some(PathVerdict::NoChange)
             | Some(PathVerdict::RemarkedToEct0)
-            | Some(PathVerdict::CeMarked) => 2u8,
-            None | Some(PathVerdict::Untested) => 3u8,
+            | Some(PathVerdict::CeMarked) => 2,
+            None | Some(PathVerdict::Untested) => 3,
         };
-        let row = if class == 0 {
-            &mut remarking
-        } else {
-            &mut undercount
-        };
-        let cell = match column {
-            0 => &mut row.remarked_to_ect1,
-            1 => &mut row.cleared_to_not_ect,
-            2 => &mut row.unchanged_ect0,
-            _ => &mut row.not_tested,
-        };
-        cell.domains += 1;
-        ip_sets.entry((class, column)).or_default().insert(host);
+        rows[class].cells()[column].domains += 1;
+        ips[class][column].insert(host);
     }
-    for ((class, column), hosts) in ip_sets {
-        let row = if class == 0 {
-            &mut remarking
-        } else {
-            &mut undercount
-        };
-        let cell = match column {
-            0 => &mut row.remarked_to_ect1,
-            1 => &mut row.cleared_to_not_ect,
-            2 => &mut row.unchanged_ect0,
-            _ => &mut row.not_tested,
-        };
-        cell.ips = hosts.len() as u64;
+    for (row, hosts) in rows.iter_mut().zip(&ips) {
+        for (cell, hosts) in row.cells().into_iter().zip(hosts) {
+            cell.ips = hosts.len() as u64;
+        }
     }
+    let [remarking, undercount] = rows;
     Table7 {
         remarking,
         undercount,
+    }
+}
+
+impl Table7Row {
+    /// The four cells, in column order.
+    fn cells(&mut self) -> [&mut ClassCount; 4] {
+        [
+            &mut self.remarked_to_ect1,
+            &mut self.cleared_to_not_ect,
+            &mut self.unchanged_ect0,
+            &mut self.not_tested,
+        ]
     }
 }
 

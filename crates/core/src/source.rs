@@ -10,6 +10,11 @@
 //! time, which is how store-backed reports run without ever materialising a
 //! full campaign.
 //!
+//! The domain join is one host pass into a dense table indexed by host id,
+//! then one domain pass that streams the records: nothing is materialised.
+//! Every builder consumes that stream directly; per-IP columns deduplicate
+//! through a dense host-id bitset.
+//!
 //! The contract that makes store-backed and in-memory reports byte-identical
 //! is the same one the sharded executor relies on: measurements are streamed
 //! in ascending host-id order, and every consumer aggregates into
@@ -19,7 +24,6 @@ use crate::campaign::SnapshotMeasurement;
 use crate::observation::{DomainRecord, EcnClass, HostMeasurement, MirrorUse};
 use crate::vantage::VantagePoint;
 use qem_web::{SnapshotDate, Universe};
-use std::collections::BTreeMap;
 
 /// A source of host measurements for one snapshot (one vantage point, one
 /// address family, one date).
@@ -57,50 +61,73 @@ pub trait SnapshotSource {
     /// Build per-domain records by joining the universe's DNS data with the
     /// per-host measurements — the paper's per-domain vs per-IP distinction.
     ///
-    /// **Cost:** one streaming pass over the measurements plus one pass over
-    /// `universe.domains`, allocating the full `Vec<DomainRecord>` each call.
-    /// Builders that need the join repeatedly should compute it once via
-    /// [`JoinedSnapshot`] instead of re-joining per table.
+    /// **Cost:** one host pass into a dense per-host table, one domain pass,
+    /// and a `Vec` holding a record for every domain.  The report builders
+    /// never call it: they consume the same join as a stream, so nothing is
+    /// materialised.
     fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        // One pass to pull out the three per-host attributes the join needs;
-        // the full reports (with their packet counters and traces) can be
-        // dropped as soon as they have been summarised.
-        let mut summaries: BTreeMap<usize, (bool, MirrorUse, Option<EcnClass>)> = BTreeMap::new();
-        self.for_each_host(&mut |m| {
-            summaries.insert(m.host_id, (m.quic_reachable, m.mirror_use(), m.ecn_class()));
-        });
-        let ipv6 = self.ipv6();
-        universe
-            .domains
-            .iter()
-            .enumerate()
-            .map(|(idx, domain)| {
-                let host_id = domain
-                    .host
-                    .filter(|&h| universe.hosts[h].addr(ipv6).is_some());
-                let summary = host_id.and_then(|h| summaries.get(&h));
-                let quic = summary.map(|s| s.0).unwrap_or(false);
-                let mirror_use = if quic {
-                    summary.map(|s| s.1).unwrap_or_default()
-                } else {
-                    MirrorUse::default()
-                };
-                let class = if quic {
-                    summary.and_then(|s| s.2)
-                } else {
-                    None
-                };
-                DomainRecord {
-                    domain_idx: idx,
-                    resolved: host_id.is_some(),
-                    host_id,
-                    quic,
-                    mirror_use,
-                    class,
-                }
-            })
-            .collect()
+        domain_join(universe, self).collect()
     }
+}
+
+/// The join's summary of a host that resolves for the snapshot's address
+/// family: all defaults unless it was measured reachable via QUIC.
+#[derive(Clone, Copy, Default)]
+struct HostJoin {
+    quic: bool,
+    mirror_use: MirrorUse,
+    class: Option<EcnClass>,
+}
+
+/// Join the universe's DNS data with `snapshot`'s measurements and stream one
+/// [`DomainRecord`] per domain, in domain order.
+///
+/// One pass over [`SnapshotSource::for_each_host`] fills a table indexed by
+/// host id (summarising each measurement once, however many domains share
+/// the host); one pass over `universe.domains` then yields the records.  A
+/// measurement whose host id lies outside the universe joins no domain and is
+/// ignored.
+pub(crate) fn domain_join<'u, S: SnapshotSource + ?Sized>(
+    universe: &'u Universe,
+    snapshot: &S,
+) -> impl Iterator<Item = DomainRecord> + 'u {
+    let ipv6 = snapshot.ipv6();
+    // `None` for hosts without an address of the snapshot's family.
+    let mut hosts: Vec<Option<HostJoin>> = universe
+        .hosts
+        .iter()
+        .map(|host| host.addr(ipv6).map(|_| HostJoin::default()))
+        .collect();
+    snapshot.for_each_host(&mut |m| {
+        if let Some(Some(host)) = hosts.get_mut(m.host_id) {
+            *host = if m.quic_reachable {
+                HostJoin {
+                    quic: true,
+                    mirror_use: m.mirror_use(),
+                    class: m.ecn_class(),
+                }
+            } else {
+                HostJoin::default()
+            };
+        }
+    });
+    universe
+        .domains
+        .iter()
+        .enumerate()
+        .map(move |(domain_idx, domain)| {
+            // The domain's host, if it has an address of the snapshot's family.
+            let joined = domain.host.and_then(|h| Some((h, (*hosts.get(h)?)?)));
+            let join = joined.map(|(_, join)| join).unwrap_or_default();
+            DomainRecord {
+                domain_idx,
+                resolved: joined.is_some(),
+                host_id: joined.map(|(h, _)| h),
+                quic: join.quic,
+                mirror_use: join.mirror_use,
+                class: join.class,
+            }
+        })
 }
 
 impl SnapshotSource for SnapshotMeasurement {
@@ -131,70 +158,6 @@ impl SnapshotSource for SnapshotMeasurement {
     fn quic_host_count(&self) -> usize {
         SnapshotMeasurement::quic_host_count(self)
     }
-
-    fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        // The in-memory snapshot has random access; skip the summary pass.
-        SnapshotMeasurement::domain_records(self, universe)
-    }
-}
-
-/// A snapshot paired with its domain join, computed **once**.
-///
-/// Every table and figure builder starts from [`SnapshotSource::domain_records`];
-/// rendering the full report set from a plain snapshot therefore repeats the
-/// O(domains) join up to nine times.  `JoinedSnapshot` performs the join at
-/// construction and serves cheap copies afterwards — see the
-/// `domain_records_memoization` micro-benchmark for the measured win.
-pub struct JoinedSnapshot<'a, S: SnapshotSource> {
-    snapshot: &'a S,
-    records: Vec<DomainRecord>,
-}
-
-impl<'a, S: SnapshotSource> JoinedSnapshot<'a, S> {
-    /// Join `snapshot` against `universe` once.
-    pub fn new(universe: &Universe, snapshot: &'a S) -> Self {
-        JoinedSnapshot {
-            records: snapshot.domain_records(universe),
-            snapshot,
-        }
-    }
-
-    /// The cached per-domain records, without copying.
-    pub fn records(&self) -> &[DomainRecord] {
-        &self.records
-    }
-}
-
-impl<S: SnapshotSource> SnapshotSource for JoinedSnapshot<'_, S> {
-    fn date(&self) -> SnapshotDate {
-        self.snapshot.date()
-    }
-
-    fn ipv6(&self) -> bool {
-        self.snapshot.ipv6()
-    }
-
-    fn vantage(&self) -> &VantagePoint {
-        self.snapshot.vantage()
-    }
-
-    fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
-        self.snapshot.for_each_host(f);
-    }
-
-    fn host_count(&self) -> usize {
-        self.snapshot.host_count()
-    }
-
-    fn quic_host_count(&self) -> usize {
-        self.snapshot.quic_host_count()
-    }
-
-    fn domain_records(&self, _universe: &Universe) -> Vec<DomainRecord> {
-        // `DomainRecord` is a flat value type; cloning the cached join is a
-        // memcpy, not a re-join.
-        self.records.clone()
-    }
 }
 
 #[cfg(test)]
@@ -203,48 +166,55 @@ mod tests {
     use crate::campaign::{Campaign, CampaignOptions};
     use qem_web::UniverseConfig;
 
-    #[test]
-    fn streaming_join_matches_random_access_join() {
-        let universe = Universe::generate(&UniverseConfig::tiny());
-        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), false);
-        // Route the default (streaming) implementation through a thin wrapper
-        // so it cannot fall back to the specialised SnapshotMeasurement impl.
-        struct Stream<'a>(&'a SnapshotMeasurement);
-        impl SnapshotSource for Stream<'_> {
-            fn date(&self) -> SnapshotDate {
-                self.0.date
-            }
-            fn ipv6(&self) -> bool {
-                self.0.ipv6
-            }
-            fn vantage(&self) -> &VantagePoint {
-                &self.0.vantage
-            }
-            fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
-                self.0.for_each_host(f);
-            }
-        }
-        let streamed = Stream(&result.v4).domain_records(&universe);
-        assert_eq!(streamed, result.v4.domain_records(&universe));
-        assert_eq!(
-            Stream(&result.v4).quic_host_count(),
-            result.v4.quic_host_count()
-        );
-        assert_eq!(Stream(&result.v4).host_count(), result.v4.hosts.len());
+    /// The join written out directly against the in-memory snapshot's map.
+    fn naive_join(universe: &Universe, snapshot: &SnapshotMeasurement) -> Vec<DomainRecord> {
+        universe
+            .domains
+            .iter()
+            .enumerate()
+            .map(|(domain_idx, domain)| {
+                let host_id = domain
+                    .host
+                    .filter(|&h| universe.hosts[h].addr(snapshot.ipv6).is_some());
+                let quic = host_id
+                    .and_then(|h| snapshot.hosts.get(&h))
+                    .filter(|m| m.quic_reachable);
+                DomainRecord {
+                    domain_idx,
+                    resolved: host_id.is_some(),
+                    host_id,
+                    quic: quic.is_some(),
+                    mirror_use: quic.map(|m| m.mirror_use()).unwrap_or_default(),
+                    class: quic.and_then(|m| m.ecn_class()),
+                }
+            })
+            .collect()
     }
 
     #[test]
-    fn joined_snapshot_serves_the_same_records() {
+    fn streamed_join_matches_a_naive_join() {
         let universe = Universe::generate(&UniverseConfig::tiny());
-        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), false);
-        let joined = JoinedSnapshot::new(&universe, &result.v4);
-        assert_eq!(
-            joined.records(),
-            result.v4.domain_records(&universe).as_slice()
-        );
-        assert_eq!(
-            joined.domain_records(&universe),
-            result.v4.domain_records(&universe)
-        );
+        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), true);
+        for full in [result.v4, result.v6.expect("IPv6 was requested")] {
+            // Drop every third measurement so that some hosts resolve but
+            // were never measured.
+            let mut partial = full.clone();
+            partial.hosts.retain(|&h, _| h % 3 != 0);
+            for snapshot in [&full, &partial] {
+                let expected = naive_join(&universe, snapshot);
+                assert!(expected.iter().any(|r| r.quic && r.mirror_use.mirroring));
+                assert_eq!(
+                    domain_join(&universe, snapshot).collect::<Vec<_>>(),
+                    expected
+                );
+                assert_eq!(snapshot.domain_records(&universe), expected);
+            }
+            let unmeasured = naive_join(&universe, &partial)
+                .iter()
+                .filter_map(|r| r.host_id)
+                .filter(|h| !partial.hosts.contains_key(h))
+                .count();
+            assert!(unmeasured > 0);
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! server behaviour and loss pattern.
 
 use proptest::prelude::*;
+use qem_core::reports::HostSet;
 use qem_netsim::{
     build_transit_path, Asn, DuplexPath, EcnPolicy, Hop, Path, Router, TransitProfile,
 };
@@ -11,6 +12,7 @@ use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, EcnMirroringBehavior, 
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::net::IpAddr;
 
 fn arb_transit() -> impl Strategy<Value = TransitProfile> {
@@ -148,5 +150,21 @@ proptest! {
             EcnCodepoint::NotEct => prop_assert_eq!(ground_truth.total(), 0),
             EcnCodepoint::Ce => prop_assert!(ground_truth.ce > 0),
         }
+    }
+
+    /// The per-IP columns' bitset counts exactly the distinct host ids a
+    /// `BTreeSet` would, whatever the order and however many duplicates.
+    #[test]
+    fn host_set_counts_like_a_btree_set(
+        ids in proptest::collection::vec(0usize..1_000, 0..400),
+        repeat in 1usize..4,
+    ) {
+        let mut bitset = HostSet::default();
+        let mut tree = BTreeSet::new();
+        for &id in ids.iter().cycle().take(ids.len() * repeat) {
+            prop_assert_eq!(bitset.insert(id), tree.insert(id));
+        }
+        prop_assert_eq!(bitset.len(), tree.len());
+        prop_assert_eq!(bitset.is_empty(), tree.is_empty());
     }
 }
