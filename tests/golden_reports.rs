@@ -21,7 +21,7 @@ use qem_core::reports::{
     figure3, figure4, figure5, figure6, figure7, table1, table2, table3, table4, table5, table6,
     table7,
 };
-use qem_core::{Campaign, CampaignOptions};
+use qem_core::{Campaign, CampaignOptions, CrossTraffic};
 use qem_netsim::{build_transit_path, Asn, DuplexPath, TransitProfile};
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, ServerBehavior};
 use qem_web::{SnapshotDate, Universe, UniverseConfig};
@@ -45,6 +45,10 @@ fn golden_workload_path() -> PathBuf {
 
 fn golden_chaos_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_chaos_report.txt")
+}
+
+fn golden_loaded_figure6_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_loaded_figure6.txt")
 }
 
 /// Render every table and figure the acceptance criteria name (Tables 1–7,
@@ -127,6 +131,29 @@ fn render_engine_metrics() -> String {
     out
 }
 
+/// Figure 6 with every probed host behind a congested shared bottleneck,
+/// once with CE probes and once with ECT(0) probes: the only reports whose
+/// measurements come out of loaded engine runs, so the snapshot pins the
+/// cross-traffic path (load flows, shared queues, paced TCP probes) byte
+/// for byte across refactors of the engine and the drivers.
+fn render_loaded_figure6() -> String {
+    let universe = Universe::generate(&UniverseConfig::tiny());
+    let campaign = Campaign::new(&universe);
+    let mut out = String::new();
+    for options in [
+        CampaignOptions::ce_probing_under_load(),
+        CampaignOptions::paper_default().with_cross_traffic(CrossTraffic::congested()),
+    ] {
+        let options = CampaignOptions {
+            workers: 1,
+            ..options
+        };
+        let result = campaign.run_main(&options, false);
+        writeln!(out, "{}", figure6(&universe, &result.v4)).unwrap();
+    }
+    out
+}
+
 fn check_golden(path: PathBuf, rendered: &str) {
     if std::env::var_os("QEM_UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("data dir")).expect("create data dir");
@@ -179,6 +206,11 @@ fn render_chaos_report() -> String {
 #[test]
 fn chaos_report_matches_golden_snapshot() {
     check_golden(golden_chaos_path(), &render_chaos_report());
+}
+
+#[test]
+fn loaded_figure6_matches_golden_snapshot() {
+    check_golden(golden_loaded_figure6_path(), &render_loaded_figure6());
 }
 
 #[test]
