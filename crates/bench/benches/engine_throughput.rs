@@ -256,6 +256,9 @@ fn engine_throughput(c: &mut Criterion) {
     group.bench_function("single_flow_engine_with_metrics", |bch| {
         bch.iter(|| black_box(engine_hosts_with_metrics(10, &path, &config)))
     });
+    // One loaded QUIC measurement: the 32 load flows' first packets, then
+    // the handshake, which completes at the epoch and ends the run — load
+    // not yet due is never simulated.
     group.bench_function("shared_bottleneck_32_load_flows", |bch| {
         let cross = CrossTraffic::congested();
         bch.iter(|| {

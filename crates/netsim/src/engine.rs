@@ -622,6 +622,8 @@ pub struct EngineCore<'a, S: Scheduler<usize>> {
     events_processed: u64,
     /// Reusable same-instant dispatch batch (see [`EngineCore::run`]).
     batch: Vec<Event<usize>>,
+    /// Index of the first wake in `batch` not dispatched yet.
+    next: usize,
 }
 
 impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
@@ -635,6 +637,7 @@ impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
             max_events: 10_000_000,
             events_processed: 0,
             batch: Vec::new(),
+            next: 0,
         }
     }
 }
@@ -753,35 +756,61 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
     /// in a later batch, so the observable wake order is provably the same
     /// as popping one event at a time.
     pub fn run(&mut self) {
+        self.dispatch(None);
+    }
+
+    /// Run until the flow at `index` (as returned by
+    /// [`EngineCore::add_flow`]) returns [`FlowStatus::Done`], stopping
+    /// right after that wake — or until every flow is done or the event cap
+    /// is hit, whichever comes first.
+    ///
+    /// Measurement runs use this to end with their measured connection:
+    /// background flows still pending are not simulated, so counters read
+    /// afterwards cover the measured flow's lifetime only.  Nothing is
+    /// lost: wakes already due at the stopping instant stay queued, and a
+    /// later [`EngineCore::run`] resumes exactly where a single `run` would
+    /// have been.
+    pub fn run_until_done(&mut self, index: usize) {
+        self.dispatch(Some(index));
+    }
+
+    /// The one dispatch loop behind [`EngineCore::run`] and
+    /// [`EngineCore::run_until_done`].  `self.batch[self.next..]` holds the
+    /// popped wakes of the current instant not dispatched yet.
+    fn dispatch(&mut self, stop_after: Option<usize>) {
         let mut processed = 0usize;
-        let mut batch = std::mem::take(&mut self.batch);
-        'run: loop {
-            if self.queue.pop_batch(&mut batch) == 0 {
-                break;
+        loop {
+            if self.next == self.batch.len() {
+                self.next = 0;
+                if self.queue.pop_batch(&mut self.batch) == 0 {
+                    return;
+                }
             }
-            for &event in &batch {
-                processed += 1;
-                if processed > self.max_events {
-                    break 'run;
+            if processed == self.max_events {
+                return;
+            }
+            let Some(&event) = self.batch.get(self.next) else {
+                return;
+            };
+            self.next += 1;
+            processed += 1;
+            self.events_processed += 1;
+            let index = event.payload;
+            self.log.push(FlowWake {
+                at: event.at,
+                flow: index,
+            });
+            let Some(flow) = self.flows.get_mut(index) else {
+                continue;
+            };
+            match flow.on_wake(event.at, &mut self.shared) {
+                FlowStatus::Sleep(at) => {
+                    self.queue.schedule_at(at, index);
                 }
-                self.events_processed += 1;
-                let index = event.payload;
-                self.log.push(FlowWake {
-                    at: event.at,
-                    flow: index,
-                });
-                let Some(flow) = self.flows.get_mut(index) else {
-                    continue;
-                };
-                match flow.on_wake(event.at, &mut self.shared) {
-                    FlowStatus::Sleep(at) => {
-                        self.queue.schedule_at(at, index);
-                    }
-                    FlowStatus::Done => {}
-                }
+                FlowStatus::Done if stop_after == Some(index) => return,
+                FlowStatus::Done => {}
             }
         }
-        self.batch = batch;
     }
 }
 
@@ -798,7 +827,9 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
 pub struct CrossTraffic {
     /// Number of background flows; `0` disables the scenario entirely.
     pub flows: u32,
-    /// Packets each background flow sends before stopping.
+    /// Packets each background flow sends before stopping — an upper
+    /// bound: a measurement run ends with its measured connection, and
+    /// background packets not due by then are never sent.
     pub packets_per_flow: u32,
     /// Pacing interval between packets of one background flow.
     pub interval: SimDuration,
@@ -888,6 +919,22 @@ impl CrossTraffic {
             seed,
         );
         Some((queues, flows))
+    }
+
+    /// The shared queues and background flows a measurement run over
+    /// `forward` starts with: [`CrossTraffic::instantiate`] seeded with one
+    /// draw from `rng`, or no queues and no flows — drawing nothing, so the
+    /// run's RNG stream is untouched — when the scenario is disabled or the
+    /// path has no bottleneck to attach it to.
+    pub fn attach<R: Rng + ?Sized>(
+        &self,
+        forward: &Path,
+        rng: &mut R,
+    ) -> (SharedQueues, Vec<LoadFlow>) {
+        if !self.is_enabled() || Self::bottleneck_of(forward).is_none() {
+            return (SharedQueues::new(), Vec::new());
+        }
+        self.instantiate(forward, rng.gen()).unwrap_or_default()
     }
 }
 
@@ -1237,6 +1284,44 @@ mod tests {
         let second = run();
         assert!(!first.is_empty());
         assert_eq!(first, second, "event order must be identical across runs");
+    }
+
+    #[test]
+    fn flows_stop_in_the_same_state_on_heap_and_wheel() {
+        // Each flow's (sent, delivered) after `run_until_done` on a short
+        // measured flow registered behind the congested fleet.
+        fn states_at_stop<S: Scheduler<usize> + Default>(seed: u64) -> Vec<(u64, u64)> {
+            let hop = crate::path::Hop::new(Router::transparent(3, Asn(1299)));
+            let path = Path::new(vec![hop]);
+            let (queues, mut flows) = CrossTraffic::congested()
+                .instantiate(&path, seed)
+                .expect("enabled");
+            flows.push(LoadFlow::new(path, 3, SimDuration::from_millis(2), seed));
+            let mut engine: EngineCore<'_, S> = EngineCore::new(queues);
+            let mut measured = None;
+            for flow in flows.iter_mut() {
+                measured = Some(engine.add_flow(flow));
+            }
+            engine.run_until_done(measured.expect("flows registered"));
+            assert_eq!(
+                engine.now(),
+                SimInstant::EPOCH + SimDuration::from_millis(4)
+            );
+            drop(engine);
+            flows.iter().map(|f| (f.sent(), f.delivered())).collect()
+        }
+        for seed in [3u64, 42] {
+            let heap = states_at_stop::<EventQueue<usize>>(seed);
+            let wheel = states_at_stop::<TimerWheel<usize>>(seed);
+            assert_eq!(heap, wheel, "flow states diverged (seed {seed})");
+            // The measured flow is done.  Its last wake was scheduled at
+            // 2 ms, before the fleet re-armed for 4 ms, so it fires first at
+            // 4 ms and the stop leaves every load flow at its packets of
+            // 0–3 ms.
+            let (measured, fleet) = wheel.split_last().expect("flows");
+            assert_eq!(measured.0, 3);
+            assert!(fleet.iter().all(|&(sent, _)| sent == 4));
+        }
     }
 
     #[test]

@@ -6,16 +6,19 @@
 //! behaviour: the same `(fire time, payload)` sequence, the same FIFO
 //! tie-breaking, the same batch boundaries, the same cancellation
 //! accounting.  These tests drive both through identical workloads — a
-//! full shared-bottleneck engine run, explicit cancellation, and
+//! full shared-bottleneck engine run, one stopped when its measured flow
+//! is done, explicit cancellation, and
 //! proptest-generated random schedule/cancel/pop interleavings — and
 //! assert exact agreement.
 
 use proptest::prelude::*;
 use qem_netsim::engine::{
-    CrossTraffic, EngineCore, EventQueue, Flow, FlowStatus, FlowWake, Scheduler, SharedQueues,
+    CrossTraffic, EngineCore, EventQueue, Flow, FlowStatus, FlowWake, LoadFlow, Scheduler,
+    SharedQueues,
 };
 use qem_netsim::{
-    build_transit_path, Asn, EngineTelemetry, SimDuration, SimInstant, TimerWheel, TransitProfile,
+    build_transit_path, Asn, EngineTelemetry, Path, SimDuration, SimInstant, TimerWheel,
+    TransitProfile,
 };
 
 /// Run the congested shared-bottleneck scenario — 32 background load flows
@@ -47,6 +50,89 @@ fn wheel_and_heap_agree_on_multi_flow_event_order() {
         assert!(!heap_log.is_empty(), "scenario must produce wakes");
         assert_eq!(heap_log, wheel_log, "event order diverged (seed {seed})");
         assert_eq!(heap_tel, wheel_tel, "telemetry diverged (seed {seed})");
+    }
+}
+
+/// The congested fleet plus a short measured flow: five packets through
+/// the same bottleneck, 1 ms apart.
+fn fleet_and_measured_flow(seed: u64) -> (SharedQueues, Vec<LoadFlow>, LoadFlow) {
+    let forward = build_transit_path(Asn::DFN, Asn(13335), TransitProfile::Clean, false);
+    let (queues, loads) = CrossTraffic::congested()
+        .instantiate(&forward, seed)
+        .expect("transit path has a bottleneck hop");
+    let bottleneck = forward.hops.last().expect("bottleneck hop").clone();
+    let measured = LoadFlow::new(
+        Path::new(vec![bottleneck]),
+        5,
+        SimDuration::from_millis(1),
+        seed ^ 0xec,
+    );
+    (queues, loads, measured)
+}
+
+/// What one engine run of [`fleet_and_measured_flow`] lets the caller see.
+struct Snapshot {
+    measured: usize,
+    log: Vec<FlowWake>,
+    telemetry: EngineTelemetry,
+}
+
+/// Register the fleet, then the measured flow last, and run: with
+/// `run_until_done` on the measured flow when `stop` is set, then — in
+/// either case — with `run` to the end.  Returns what was observable at
+/// the stop (or after the plain run) and at the end.
+fn run_fleet<S: Scheduler<usize> + Default>(seed: u64, stop: bool) -> (Snapshot, Snapshot) {
+    let (queues, mut loads, mut measured) = fleet_and_measured_flow(seed);
+    let mut engine: EngineCore<'_, S> = EngineCore::new(queues);
+    for load in loads.iter_mut() {
+        engine.add_flow(load);
+    }
+    let index = engine.add_flow(&mut measured);
+    if stop {
+        engine.run_until_done(index);
+    } else {
+        engine.run();
+    }
+    let snapshot = |engine: &EngineCore<'_, S>| Snapshot {
+        measured: index,
+        log: engine.event_log(),
+        telemetry: engine.telemetry(),
+    };
+    let at_stop = snapshot(&engine);
+    engine.run();
+    (at_stop, snapshot(&engine))
+}
+
+/// `run_until_done` stops both schedulers at the same wake — the measured
+/// flow's last — with identical logs and telemetry, long before the fleet
+/// is done; resuming with `run` then reaches exactly the state of a single
+/// uninterrupted `run`.
+#[test]
+fn wheel_and_heap_stop_at_the_same_wake() {
+    for seed in [1u64, 7, 42, 1299] {
+        let (heap_stop, heap_end) = run_fleet::<EventQueue<usize>>(seed, true);
+        let (wheel_stop, wheel_end) = run_fleet::<TimerWheel<usize>>(seed, true);
+        assert_eq!(heap_stop.log, wheel_stop.log, "stop diverged (seed {seed})");
+        assert_eq!(heap_stop.telemetry, wheel_stop.telemetry);
+        assert_eq!(heap_end.log, wheel_end.log, "resume diverged (seed {seed})");
+        assert_eq!(heap_end.telemetry, wheel_end.telemetry);
+
+        // The stop is the measured flow's fifth and final wake, at 4 ms,
+        // while the fleet still has most of its 63 ms to go.
+        let last = wheel_stop.log.last().expect("wakes before the stop");
+        assert_eq!(last.flow, wheel_stop.measured);
+        assert_eq!(last.at, SimInstant::EPOCH + SimDuration::from_millis(4));
+        assert_eq!(
+            wheel_stop.telemetry.metrics.gauge("engine.virtual_now_us"),
+            Some(4_000)
+        );
+        assert!(wheel_stop.log.len() < wheel_end.log.len());
+
+        // Stopping and resuming loses no wake: the same log and telemetry
+        // as one uninterrupted `run`.
+        let (uninterrupted, _) = run_fleet::<TimerWheel<usize>>(seed, false);
+        assert_eq!(uninterrupted.log, wheel_end.log);
+        assert_eq!(uninterrupted.telemetry, wheel_end.telemetry);
     }
 }
 

@@ -22,17 +22,22 @@
 //!     .execute(&mut rng);
 //! ```
 //!
-//! Without cross traffic it drives a one-flow engine with no shared queues,
-//! bit-identical to the historical per-connection loop; with it, the same
-//! flow runs next to background [`LoadFlow`](qem_netsim::LoadFlow)s through
-//! a shared bottleneck, which is where CE marking becomes load-dependent.
+//! Every run takes one path: an engine with the measured flow registered
+//! last, run until that flow is done.  Without cross traffic the engine
+//! holds that one flow and no shared queues, bit-identical to the
+//! historical per-connection loop; with it, the same flow runs next to
+//! background [`LoadFlow`]s through a shared bottleneck, which is where CE
+//! marking becomes load-dependent.  Either way the run ends with the
+//! measured connection.
 //! The legacy `run_connection*` function matrix survives as thin deprecated
 //! wrappers, each proven equivalent by the existing tests.
 
 use crate::behavior::ServerBehavior;
 use crate::client::{ClientConfig, ClientConnection, ClientReport};
 use crate::server::ServerConnection;
-use qem_netsim::engine::{CrossTraffic, Engine, EngineTelemetry, Flow, FlowStatus, SharedQueues};
+use qem_netsim::engine::{
+    CrossTraffic, Engine, EngineTelemetry, Flow, FlowStatus, LoadFlow, SharedQueues,
+};
 use qem_netsim::{DuplexPath, SimDuration, SimInstant};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
@@ -93,7 +98,7 @@ pub struct ConnectionOutcome {
 /// The flow owns a *local* clock with the exact semantics of the historical
 /// driver loop (time only moves at timer boundaries, and a timer that does
 /// not advance time nudges the clock forward by one millisecond), so the
-/// single-flow wrapper below reproduces the legacy results bit for bit.
+/// unloaded [`ConnectionRun`] reproduces the legacy results bit for bit.
 pub struct QuicFlow<'a, R: Rng + ?Sized> {
     client: &'a mut ClientConnection,
     server: &'a mut ServerConnection,
@@ -275,7 +280,8 @@ pub struct RunOutcome {
     pub connection: ConnectionOutcome,
     /// Engine telemetry, `Some` iff requested.  Under load it includes the
     /// shared bottleneck's per-router queue metrics (`queue.r<id>.*`: CE
-    /// marks, tail drops, occupancy).
+    /// marks, tail drops, occupancy).  Like the `engine.*` counters, they
+    /// cover the measured connection's lifetime only.
     pub telemetry: Option<EngineTelemetry>,
 }
 
@@ -323,6 +329,11 @@ impl<'a> ConnectionRun<'a> {
     /// load-dependent regime of the paper's §6.2/§6.3 findings.
     /// [`CrossTraffic::none`] (the default) is the single-flow methodology,
     /// bit for bit.
+    ///
+    /// The run ends when the measured connection does: background packets
+    /// not yet due are never simulated, so the loaded run's `engine.*` and
+    /// `queue.*` telemetry covers that window only.  A handshake that
+    /// completes at the epoch leaves `engine.virtual_now_us` at 0.
     pub fn cross_traffic(mut self, cross: CrossTraffic) -> Self {
         self.cross = cross;
         self
@@ -336,7 +347,9 @@ impl<'a> ConnectionRun<'a> {
         self
     }
 
-    /// Drive the connection to completion.
+    /// Drive the connection to completion.  The RNG draws, in order: the
+    /// client seed, the server seed, then the load seed only when cross
+    /// traffic attaches (see [`CrossTraffic::attach`]).
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> RunOutcome {
         let ConnectionRun {
             client_config,
@@ -346,40 +359,11 @@ impl<'a> ConnectionRun<'a> {
             cross,
             telemetry: want_telemetry,
         } = self;
-        // No scenario — or nothing to attach it to (a hop-less path has no
-        // bottleneck): run the plain single-flow connection with an
-        // untouched RNG stream so the fallback really is bit-identical.
-        if !cross.is_enabled() || CrossTraffic::bottleneck_of(&path.forward).is_none() {
-            let mut client = ClientConnection::new(client_config, SimInstant::EPOCH, rng.gen());
-            let mut server = ServerConnection::new(behavior, rng.gen());
-            let (connection, telemetry) =
-                run_endpoints(&mut client, &mut server, path, &driver, rng, want_telemetry);
-            return RunOutcome {
-                connection,
-                telemetry,
-            };
-        }
         let mut client = ClientConnection::new(client_config, SimInstant::EPOCH, rng.gen());
         let mut server = ServerConnection::new(behavior, rng.gen());
-        let (queues, mut loads) = cross
-            .instantiate(&path.forward, rng.gen())
-            // Unreachable: the guard above returned unless the scenario is
-            // enabled and the path has a bottleneck, and restructuring into
-            // a fallback would reorder the RNG draws the golden reports pin.
-            // lint: allow(panic-policy) guard-checked precondition
-            .expect("enabled scenario with a bottleneck");
-        let mut engine = Engine::new(queues);
-        // Background flows register first so their first packets occupy the
-        // bottleneck before the measured connection's initial burst (FIFO
-        // tie-break at the epoch).
-        for load in loads.iter_mut() {
-            engine.add_flow(load);
-        }
+        let (queues, mut loads) = cross.attach(&path.forward, rng);
         let mut flow = QuicFlow::new(&mut client, &mut server, path, &driver, rng);
-        engine.add_flow(&mut flow);
-        engine.run();
-        let telemetry = want_telemetry.then(|| engine.telemetry());
-        drop(engine);
+        let telemetry = drive(&mut flow, queues, &mut loads, want_telemetry);
         RunOutcome {
             connection: flow.into_outcome(),
             telemetry,
@@ -422,7 +406,7 @@ pub fn run_connection_with_telemetry<R: Rng + ?Sized>(
 
 /// Run a prepared client and server to completion (exposed for tests that
 /// need access to the endpoints afterwards): a one-flow engine with no
-/// shared queues, bit-identical to the historical driver loop.
+/// shared queues, the unloaded [`ConnectionRun`] path.
 pub fn run_with_endpoints<R: Rng + ?Sized>(
     client: &mut ClientConnection,
     server: &mut ServerConnection,
@@ -430,26 +414,29 @@ pub fn run_with_endpoints<R: Rng + ?Sized>(
     config: &DriverConfig,
     rng: &mut R,
 ) -> ConnectionOutcome {
-    run_endpoints(client, server, path, config, rng, false).0
+    let mut flow = QuicFlow::new(client, server, path, config, rng);
+    drive(&mut flow, SharedQueues::new(), &mut [], false);
+    flow.into_outcome()
 }
 
-fn run_endpoints<R: Rng + ?Sized>(
-    client: &mut ClientConnection,
-    server: &mut ServerConnection,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
+/// Run the measured `flow` on one engine over `queues` until it is done.
+/// Background `loads` register first so their first packets occupy the
+/// bottleneck before the measured connection's initial burst (FIFO
+/// tie-break at the epoch); whatever load is still pending when the
+/// measured flow finishes is never simulated.
+fn drive<R: Rng + ?Sized>(
+    flow: &mut QuicFlow<'_, R>,
+    queues: SharedQueues,
+    loads: &mut [LoadFlow],
     want_telemetry: bool,
-) -> (ConnectionOutcome, Option<EngineTelemetry>) {
-    let mut flow = QuicFlow::new(client, server, path, config, rng);
-    let mut engine = Engine::new(SharedQueues::new());
-    engine.add_flow(&mut flow);
-    engine.run();
-    // Telemetry must be read before the engine goes away — it borrows the
-    // flow list; the outcome needs the flow back, hence the drop.
-    let telemetry = want_telemetry.then(|| engine.telemetry());
-    drop(engine);
-    (flow.into_outcome(), telemetry)
+) -> Option<EngineTelemetry> {
+    let mut engine = Engine::new(queues);
+    for load in loads.iter_mut() {
+        engine.add_flow(load);
+    }
+    let measured = engine.add_flow(flow);
+    engine.run_until_done(measured);
+    want_telemetry.then(|| engine.telemetry())
 }
 
 /// Run a client↔server exchange while `cross` background flows push packets
@@ -931,6 +918,85 @@ mod tests {
             .execute(&mut rng);
         assert_eq!(built.connection, legacy);
         assert_eq!(built.telemetry, Some(legacy_tel));
+    }
+
+    /// The loaded builder run next to the same engine built by hand and run
+    /// with `run()` until every load flow is done: the outcome must not
+    /// depend on simulating load past the measured connection's end.
+    #[test]
+    fn stopping_with_the_measured_connection_never_changes_the_outcome() {
+        let (client_addr, server_addr) = addrs();
+        let driver = DriverConfig::new(client_addr, server_addr);
+        let cross = CrossTraffic::congested();
+        // A lossy first hop makes some handshakes wait for a PTO, so the
+        // measured flow also ends after the epoch.
+        let lossy = DuplexPath::new(
+            Path::new(vec![
+                Hop::new(Router::transparent(1, Asn::DFN)).with_loss(0.3),
+                Hop::new(Router::transparent(2, Asn(16509))),
+            ]),
+            Path::empty(),
+        );
+        let behaviors = [
+            ServerBehavior::accurate(),
+            ServerBehavior::no_mirroring(),
+            ServerBehavior::accurate().with_ecn_use(),
+            ServerBehavior::accurate().with_mirroring(EcnMirroringBehavior::MirrorOnlyHandshake),
+        ];
+        let configs = [
+            ClientConfig::paper_default("www.example.org"),
+            ClientConfig::force_ce("www.example.org"),
+        ];
+        for (path, clean) in [(clean_path(), true), (lossy, false)] {
+            for behavior in &behaviors {
+                for config in &configs {
+                    for seed in [1u64, 7, 42, 1299] {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let mut client =
+                            ClientConnection::new(config.clone(), SimInstant::EPOCH, rng.gen());
+                        let mut server = ServerConnection::new(behavior.clone(), rng.gen());
+                        let (queues, mut loads) = cross
+                            .instantiate(&path.forward, rng.gen())
+                            .expect("the path has a bottleneck");
+                        let mut flow =
+                            QuicFlow::new(&mut client, &mut server, &path, &driver, &mut rng);
+                        let mut engine = Engine::new(queues);
+                        for load in loads.iter_mut() {
+                            engine.add_flow(load);
+                        }
+                        engine.add_flow(&mut flow);
+                        engine.run();
+                        let full_events = engine.events_processed();
+                        drop(engine);
+                        let full = flow.into_outcome();
+
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let built = ConnectionRun::new(
+                            config.clone(),
+                            behavior.clone(),
+                            &path,
+                            driver.clone(),
+                        )
+                        .cross_traffic(cross)
+                        .telemetry(true)
+                        .execute(&mut rng);
+                        assert_eq!(built.connection, full, "seed {seed}, {behavior:?}");
+                        let events = built
+                            .telemetry
+                            .and_then(|t| t.metrics.counter("engine.events_processed"))
+                            .expect("engine counter");
+                        // On the clean path the handshake ends at the epoch,
+                        // long before the load does; a PTO on the lossy path
+                        // may outlast it.
+                        if clean {
+                            assert!(events < full_events, "{events} vs {full_events}");
+                        } else {
+                            assert!(events <= full_events, "{events} vs {full_events}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! The exchange is modelled as a sans-IO [`TcpFlow`] state machine for the
 //! discrete-event engine, driven through the [`TcpConnectionRun`] builder —
-//! the mirror of `qem_quic`'s `ConnectionRun`.  Without cross traffic it is
-//! a one-flow engine with no shared queues (bit-identical to the historical
+//! the mirror of `qem_quic`'s `ConnectionRun`, which runs the engine until
+//! the measured flow is done.  Without cross traffic it is a one-flow
+//! engine with no shared queues (bit-identical to the historical
 //! straight-line script); with [`TcpConnectionRun::cross_traffic`] the flow
 //! runs next to background load through a shared bottleneck queue, where CE
 //! marks — and therefore ECE echoes — emerge from combined occupancy.  The
@@ -493,6 +494,11 @@ impl<'a> TcpConnectionRun<'a> {
     /// occupancy rather than the probe codepoint alone.
     /// [`CrossTraffic::none`] (the default) is the single-flow exchange,
     /// bit for bit.
+    ///
+    /// The run ends when the paced exchange does (about 5 ms of virtual
+    /// time): background packets not yet due are never simulated, so the
+    /// loaded run's `engine.*` and `queue.*` telemetry covers that window
+    /// only.
     pub fn cross_traffic(mut self, cross: CrossTraffic) -> Self {
         self.cross = cross;
         self
@@ -505,7 +511,9 @@ impl<'a> TcpConnectionRun<'a> {
         self
     }
 
-    /// Drive the exchange to completion.
+    /// Drive the exchange to completion.  The load seed, when cross traffic
+    /// attaches (see [`CrossTraffic::attach`]), is drawn before the flow
+    /// takes over the RNG.
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> TcpRunOutcome {
         let TcpConnectionRun {
             config,
@@ -516,39 +524,20 @@ impl<'a> TcpConnectionRun<'a> {
             cross,
             telemetry: want_telemetry,
         } = self;
-        // No scenario — or nothing to attach it to (a hop-less path has no
-        // bottleneck): run the plain single-flow exchange with an untouched
-        // RNG stream so the fallback really is bit-identical.
-        if !cross.is_enabled() || CrossTraffic::bottleneck_of(&path.forward).is_none() {
-            let mut flow = TcpFlow::new(config, behavior, client_addr, server_addr, path, rng);
-            let mut engine = Engine::new(SharedQueues::new());
-            engine.add_flow(&mut flow);
-            engine.run();
-            let telemetry = want_telemetry.then(|| engine.telemetry());
-            drop(engine);
-            return TcpRunOutcome {
-                report: flow.into_report(),
-                telemetry,
-            };
+        let (queues, mut loads) = cross.attach(&path.forward, rng);
+        let mut flow = TcpFlow::new(config, behavior, client_addr, server_addr, path, rng);
+        if !loads.is_empty() {
+            // Pace the probes across the background burst so each segment
+            // samples the queue, rather than the whole exchange landing on
+            // one instant.
+            flow = flow.with_pacing(SimDuration::from_millis(1));
         }
-        let (queues, mut loads) = cross
-            .instantiate(&path.forward, rng.gen())
-            // Unreachable: the guard above returned unless the scenario is
-            // enabled and the path has a bottleneck, and restructuring into
-            // a fallback would reorder the RNG draws the golden reports pin.
-            // lint: allow(panic-policy) guard-checked precondition
-            .expect("enabled scenario with a bottleneck");
         let mut engine = Engine::new(queues);
         for load in loads.iter_mut() {
             engine.add_flow(load);
         }
-        // Pace the probes across the background burst so each segment
-        // samples the queue, rather than the whole exchange landing on one
-        // instant.
-        let mut flow = TcpFlow::new(config, behavior, client_addr, server_addr, path, rng)
-            .with_pacing(SimDuration::from_millis(1));
-        engine.add_flow(&mut flow);
-        engine.run();
+        let measured = engine.add_flow(&mut flow);
+        engine.run_until_done(measured);
         let telemetry = want_telemetry.then(|| engine.telemetry());
         drop(engine);
         TcpRunOutcome {
@@ -867,6 +856,57 @@ mod tests {
         .execute(&mut rng);
         assert_eq!(built.report, legacy);
         assert!(built.telemetry.is_some());
+    }
+
+    /// The loaded builder run next to the same engine built by hand and run
+    /// with `run()` until every load flow is done: the report must not
+    /// depend on simulating load past the paced exchange's end.
+    #[test]
+    fn stopping_with_the_measured_exchange_never_changes_the_report() {
+        use qem_netsim::CrossTraffic;
+        let (c, s) = addrs();
+        let path = clean();
+        let cross = CrossTraffic::congested();
+        let behaviors = [
+            TcpServerBehavior::full_ecn(),
+            TcpServerBehavior::mirror_only(),
+            TcpServerBehavior::negotiate_without_mirroring(),
+            TcpServerBehavior::no_ecn(),
+        ];
+        let configs = [TcpClientConfig::ect0(), TcpClientConfig::force_ce()];
+        for behavior in behaviors {
+            for config in configs {
+                for seed in [1u64, 7, 42, 1299] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let (queues, mut loads) = cross
+                        .instantiate(&path.forward, rng.gen())
+                        .expect("the path has a bottleneck");
+                    let mut flow = TcpFlow::new(config, behavior, c, s, &path, &mut rng)
+                        .with_pacing(SimDuration::from_millis(1));
+                    let mut engine = Engine::new(queues);
+                    for load in loads.iter_mut() {
+                        engine.add_flow(load);
+                    }
+                    engine.add_flow(&mut flow);
+                    engine.run();
+                    let full_events = engine.events_processed();
+                    drop(engine);
+                    let full = flow.into_report();
+
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let built = TcpConnectionRun::new(config, behavior, c, s, &path)
+                        .cross_traffic(cross)
+                        .telemetry(true)
+                        .execute(&mut rng);
+                    assert_eq!(built.report, full, "seed {seed}, {behavior:?}, {config:?}");
+                    let events = built
+                        .telemetry
+                        .and_then(|t| t.metrics.counter("engine.events_processed"))
+                        .expect("engine counter");
+                    assert!(events < full_events, "{events} vs {full_events}");
+                }
+            }
+        }
     }
 
     #[test]
