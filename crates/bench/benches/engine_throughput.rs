@@ -24,10 +24,8 @@ use qem_netsim::engine::{
 };
 use qem_netsim::{build_transit_path, Asn, CrossTraffic, DuplexPath, TimerWheel, TransitProfile};
 use qem_netsim::{SimDuration, SimInstant};
-use qem_packet::ecn::EcnCodepoint;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header};
+use qem_packet::ip::IpDatagram;
 use qem_packet::quic::QUIC_PORT;
-use qem_packet::udp::UdpHeader;
 use qem_quic::client::{ClientConfig, ClientConnection};
 use qem_quic::server::ServerConnection;
 use qem_quic::ServerBehavior;
@@ -35,7 +33,7 @@ use qem_quic::{ConnectionOutcome, ConnectionRun, DriverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::time::Instant;
 
 fn addrs() -> (IpAddr, IpAddr) {
@@ -54,32 +52,6 @@ fn clean_path() -> DuplexPath {
     ))
 }
 
-fn encapsulate(
-    src: IpAddr,
-    dst: IpAddr,
-    sp: u16,
-    dp: u16,
-    ecn: EcnCodepoint,
-    p: &[u8],
-) -> IpDatagram {
-    let udp = UdpHeader::new(sp, dp).encode(src, dst, p);
-    let header = match (src, dst) {
-        (IpAddr::V4(s), IpAddr::V4(d)) => {
-            IpHeader::V4(Ipv4Header::new(s, d, IpProtocol::Udp, 64).with_ecn(ecn))
-        }
-        _ => unreachable!("bench uses IPv4 only"),
-    };
-    IpDatagram::new(header, udp)
-}
-
-fn decapsulate(datagram: &IpDatagram) -> Option<Vec<u8>> {
-    if datagram.header.protocol() != IpProtocol::Udp {
-        return None;
-    }
-    let (_, payload) = UdpHeader::decode(&datagram.payload).ok()?;
-    Some(payload.to_vec())
-}
-
 /// The pre-engine driver loop, kept verbatim as the performance baseline.
 fn legacy_run_connection(
     client_config: ClientConfig,
@@ -92,42 +64,32 @@ fn legacy_run_connection(
     let mut server = ServerConnection::new(behavior, rng.gen());
     let mut now = SimInstant::EPOCH;
     let deadline = SimInstant::EPOCH + config.max_duration;
+    let client_addr = SocketAddr::new(config.client_addr, config.client_port);
+    let server_addr = SocketAddr::new(config.server_addr, QUIC_PORT);
 
     for _ in 0..config.max_iterations {
         let mut activity = false;
         while let Some(transmit) = client.poll_transmit(now) {
             activity = true;
-            let datagram = encapsulate(
-                config.client_addr,
-                config.server_addr,
-                config.client_port,
-                QUIC_PORT,
-                transmit.ecn,
-                &transmit.payload,
-            );
+            let datagram =
+                IpDatagram::udp(client_addr, server_addr, transmit.ecn, &transmit.payload);
             if let qem_netsim::TransitOutcome::Delivered { datagram, .. } =
                 path.forward.transit(&datagram, rng)
             {
-                if let Some(payload) = decapsulate(&datagram) {
-                    server.handle_datagram(now, datagram.header.ecn(), &payload);
+                if let Some(payload) = datagram.udp_payload() {
+                    server.handle_datagram(now, datagram.header.ecn(), payload);
                 }
             }
         }
         while let Some(transmit) = server.poll_transmit(now) {
             activity = true;
-            let datagram = encapsulate(
-                config.server_addr,
-                config.client_addr,
-                QUIC_PORT,
-                config.client_port,
-                transmit.ecn,
-                &transmit.payload,
-            );
+            let datagram =
+                IpDatagram::udp(server_addr, client_addr, transmit.ecn, &transmit.payload);
             if let qem_netsim::TransitOutcome::Delivered { datagram, .. } =
                 path.reverse.transit(&datagram, rng)
             {
-                if let Some(payload) = decapsulate(&datagram) {
-                    client.handle_datagram(now, datagram.header.ecn(), &payload);
+                if let Some(payload) = datagram.udp_payload() {
+                    client.handle_datagram(now, datagram.header.ecn(), payload);
                 }
             }
         }

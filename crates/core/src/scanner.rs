@@ -12,7 +12,7 @@ use crate::metrics::ScanMetrics;
 use crate::observation::{EcnClass, HostMeasurement};
 use crate::resilience::{classify_probe, ProbeError, RetryPolicy};
 use crate::vantage::VantagePoint;
-use qem_netsim::{build_duplex_path, Asn, CrossTraffic, DuplexPath, FaultPlan, TransitProfile};
+use qem_netsim::{build_duplex_path, Asn, CrossTraffic, DuplexPath, TransitProfile};
 use qem_obs::MetricsSnapshot;
 use qem_quic::behavior::EcnMirroringBehavior;
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, EcnConfig};
@@ -99,10 +99,6 @@ pub struct Scanner<'a> {
     /// Probe-outcome metrics, recorded per host and merged commutatively —
     /// the deterministic part of the scan's observability surface.
     metrics: ScanMetrics,
-    /// Impairments injected on every forward path (chaos scans).  Empty by
-    /// default; not part of [`ScanOptions`] because a plan is a schedule,
-    /// not part of a snapshot's identity — stores reject faulted scans.
-    fault_plan: FaultPlan,
 }
 
 impl<'a> Scanner<'a> {
@@ -120,16 +116,7 @@ impl<'a> Scanner<'a> {
             options,
             domain_weight,
             metrics: ScanMetrics::new(),
-            fault_plan: FaultPlan::default(),
         }
-    }
-
-    /// Inject `plan` on the forward path of every probed host (builder
-    /// style).  Pair with a non-noop [`RetryPolicy`] to measure what
-    /// resilience costs under impairment.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
     }
 
     /// The options in use.
@@ -392,17 +379,13 @@ impl<'a> Scanner<'a> {
                 _ => {}
             }
         }
-        let mut duplex = build_duplex_path(
+        build_duplex_path(
             self.vantage.asn,
             host.asn,
             transit,
             TransitProfile::Clean,
             v6,
-        );
-        if !self.fault_plan.is_empty() {
-            duplex.forward = duplex.forward.with_fault(self.fault_plan.clone());
-        }
-        duplex
+        )
     }
 
     /// The QUIC behaviour of the host at the scan date, after location quirks.

@@ -15,7 +15,6 @@
 use crate::config::{Config, RuleConfig};
 use crate::lexer::{self, Comment, Token, TokenKind};
 use std::fmt;
-use std::path::Path;
 
 /// One diagnostic: `file:line rule message`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -451,12 +450,6 @@ fn component_match(pattern: &str, component: &str) -> bool {
         }
     }
     true
-}
-
-/// Convenience: lint one file on disk against an engine.
-pub fn check_path(engine: &Engine, repo_root: &Path, rel: &str) -> std::io::Result<Vec<Finding>> {
-    let source = std::fs::read_to_string(repo_root.join(rel))?;
-    Ok(engine.check_file(rel, &source))
 }
 
 #[cfg(test)]

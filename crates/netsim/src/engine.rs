@@ -25,10 +25,11 @@
 //!   (transmit, receive, time out) and either asks to sleep until its next
 //!   timer or declares itself done.
 //!
-//! Single-flow wrappers (`run_connection`, `run_tcp_connection`) run a
-//! one-flow engine with **no** registered queues; in that configuration the
-//! shared-queue hooks consume no randomness and add no delay, so legacy
-//! callers get bit-identical results.
+//! A measurement run without cross traffic (`qem_quic::ConnectionRun`,
+//! `qem_tcp::TcpConnectionRun`) is a one-flow engine with **no** registered
+//! queues; in that configuration the shared-queue hooks consume no
+//! randomness and add no delay, so the run is bit-identical to the
+//! historical per-connection loop.
 
 use crate::aqm::{AqmDecision, OccupancyAqm};
 use crate::fault::{FaultStats, FaultVerdict};
@@ -38,13 +39,13 @@ use crate::time::{SimDuration, SimInstant};
 use crate::wheel::TimerWheel;
 use qem_obs::{Histogram, MetricsSnapshot, TraceRing};
 use qem_packet::ecn::EcnCodepoint;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 // ---------------------------------------------------------------------------
 // The scheduler boundary
@@ -504,11 +505,6 @@ impl SharedQueues {
         self.faults.record(verdict);
     }
 
-    /// The fault-injection counters accumulated so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults
-    }
-
     /// Per-router metrics of every registered queue, in router-id order:
     /// `queue.r<id>.{enqueued,marked,dropped}` counters, the
     /// `queue.r<id>.peak_occupancy` gauge and the `queue.r<id>.occupancy`
@@ -589,6 +585,10 @@ pub struct FlowWake {
 /// memory over arbitrarily long runs.
 pub const DEFAULT_EVENT_LOG_CAPACITY: usize = 65_536;
 
+/// Livelock guard: one [`EngineCore::run`] or
+/// [`EngineCore::run_until_done`] call processes at most this many events.
+const MAX_EVENTS_PER_RUN: usize = 10_000_000;
+
 /// Post-run observability bundle of one engine: deterministic metrics plus
 /// the (ring-bounded) virtual-time wake trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -618,7 +618,6 @@ pub struct EngineCore<'a, S: Scheduler<usize>> {
     flows: Vec<&'a mut dyn Flow>,
     shared: SharedQueues,
     log: TraceRing<FlowWake>,
-    max_events: usize,
     events_processed: u64,
     /// Reusable same-instant dispatch batch (see [`EngineCore::run`]).
     batch: Vec<Event<usize>>,
@@ -634,7 +633,6 @@ impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
             flows: Vec::new(),
             shared,
             log: TraceRing::new(DEFAULT_EVENT_LOG_CAPACITY),
-            max_events: 10_000_000,
             events_processed: 0,
             batch: Vec::new(),
             next: 0,
@@ -643,13 +641,6 @@ impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
 }
 
 impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
-    /// Cap the number of events processed (a livelock guard; the default is
-    /// ten million).
-    pub fn with_max_events(mut self, max_events: usize) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
     /// Retain at most `capacity` wake-log entries (the newest ones; the
     /// default is [`DEFAULT_EVENT_LOG_CAPACITY`]).  Evictions are counted
     /// in [`EngineCore::telemetry`] as `engine.trace.dropped`.
@@ -786,7 +777,7 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
                     return;
                 }
             }
-            if processed == self.max_events {
+            if processed == MAX_EVENTS_PER_RUN {
                 return;
             }
             let Some(&event) = self.batch.get(self.next) else {
@@ -1014,28 +1005,19 @@ impl LoadFlow {
     fn datagram(&self) -> IpDatagram {
         // Benchmarking address range (RFC 2544): never collides with
         // simulated vantage points or servers.
-        let header = match self.path.hops.first().map(|h| h.router.address) {
-            Some(IpAddr::V6(_)) => IpHeader::V6(
-                Ipv6Header::new(
-                    // 2001:db8:bbbb::1 / ::2 — const-constructed so the
-                    // per-datagram path neither parses strings nor panics.
-                    std::net::Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 1),
-                    std::net::Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 2),
-                    IpProtocol::Udp,
-                    64,
-                )
-                .with_ecn(self.ecn),
+        let (src, dst): (IpAddr, IpAddr) = match self.path.hops.first().map(|h| h.router.address) {
+            // 2001:db8:bbbb::1 / ::2 — const-constructed so the per-datagram
+            // path neither parses strings nor panics.
+            Some(IpAddr::V6(_)) => (
+                Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 1).into(),
+                Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 2).into(),
             ),
-            _ => IpHeader::V4(
-                Ipv4Header::new(
-                    std::net::Ipv4Addr::new(198, 18, 0, 1),
-                    std::net::Ipv4Addr::new(198, 19, 0, 1),
-                    IpProtocol::Udp,
-                    64,
-                )
-                .with_ecn(self.ecn),
+            _ => (
+                Ipv4Addr::new(198, 18, 0, 1).into(),
+                Ipv4Addr::new(198, 19, 0, 1).into(),
             ),
         };
+        let header = IpHeader::between(src, dst, IpProtocol::Udp, 64, self.ecn);
         IpDatagram::new(header, vec![0u8; 64])
     }
 }

@@ -7,9 +7,10 @@
 
 use crate::ecn::{split_traffic_class, traffic_class, Dscp, EcnCodepoint};
 use crate::error::PacketError;
+use crate::udp::UdpHeader;
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
 /// Transport protocol numbers used by the study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -275,6 +276,34 @@ pub enum IpHeader {
 }
 
 impl IpHeader {
+    /// A header from `src` to `dst` with best-effort DSCP and the given ECN
+    /// codepoint, of whichever family the addresses share.
+    ///
+    /// Mixed families indicate a mis-built scenario: the result is then an
+    /// IPv4 header between unspecified addresses, which no path matches, so
+    /// the failure stays visible instead of being routed somewhere.
+    #[inline]
+    pub fn between(
+        src: IpAddr,
+        dst: IpAddr,
+        protocol: IpProtocol,
+        ttl: u8,
+        ecn: EcnCodepoint,
+    ) -> Self {
+        match (src, dst) {
+            (IpAddr::V4(s), IpAddr::V4(d)) => {
+                IpHeader::V4(Ipv4Header::new(s, d, protocol, ttl).with_ecn(ecn))
+            }
+            (IpAddr::V6(s), IpAddr::V6(d)) => {
+                IpHeader::V6(Ipv6Header::new(s, d, protocol, ttl).with_ecn(ecn))
+            }
+            _ => IpHeader::V4(
+                Ipv4Header::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED, protocol, ttl)
+                    .with_ecn(ecn),
+            ),
+        }
+    }
+
     /// Source address.
     pub fn src(&self) -> IpAddr {
         match self {
@@ -404,6 +433,28 @@ impl IpDatagram {
     /// Construct a datagram.
     pub fn new(header: IpHeader, payload: Vec<u8>) -> Self {
         IpDatagram { header, payload }
+    }
+
+    /// Encapsulate `payload` in UDP from `src` to `dst` (TTL 64, the given
+    /// ECN codepoint; see [`IpHeader::between`] for mixed families).  The
+    /// UDP checksum covers the pseudo header of `src` and `dst`.
+    #[inline]
+    pub fn udp(src: SocketAddr, dst: SocketAddr, ecn: EcnCodepoint, payload: &[u8]) -> Self {
+        let udp = UdpHeader::new(src.port(), dst.port()).encode(src.ip(), dst.ip(), payload);
+        let header = IpHeader::between(src.ip(), dst.ip(), IpProtocol::Udp, 64, ecn);
+        IpDatagram::new(header, udp)
+    }
+
+    /// The UDP payload of a datagram built by [`IpDatagram::udp`], or `None`
+    /// if it carries another protocol or a malformed UDP header.
+    #[inline]
+    pub fn udp_payload(&self) -> Option<&[u8]> {
+        if self.header.protocol() != IpProtocol::Udp {
+            return None;
+        }
+        UdpHeader::decode(&self.payload)
+            .ok()
+            .map(|(_, payload)| payload)
     }
 
     /// Serialise header and payload into one byte vector.
@@ -569,6 +620,79 @@ mod tests {
         let parsed = IpDatagram::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, dgram);
         assert_eq!(dgram.wire_len(), IPV4_HEADER_LEN + 5);
+    }
+
+    #[test]
+    fn header_between_follows_the_address_family() {
+        let v4 = |last| IpAddr::V4(Ipv4Addr::new(192, 0, 2, last));
+        let v6 = |s: &str| IpAddr::V6(s.parse().unwrap());
+
+        let hdr = IpHeader::between(v4(1), v4(2), IpProtocol::Tcp, 17, EcnCodepoint::Ce);
+        assert!(!hdr.is_v6());
+        assert_eq!((hdr.src(), hdr.dst()), (v4(1), v4(2)));
+        assert_eq!(hdr.protocol(), IpProtocol::Tcp);
+        assert_eq!(hdr.ttl(), 17);
+        assert_eq!(hdr.ecn(), EcnCodepoint::Ce);
+        assert_eq!(hdr.dscp(), Dscp::BEST_EFFORT);
+
+        let (a, b) = (v6("2001:db8::1"), v6("2001:db8::2"));
+        let hdr = IpHeader::between(a, b, IpProtocol::Udp, 64, EcnCodepoint::Ect1);
+        assert!(hdr.is_v6());
+        assert_eq!((hdr.src(), hdr.dst()), (a, b));
+        assert_eq!(hdr.protocol(), IpProtocol::Udp);
+        assert_eq!(hdr.ttl(), 64);
+        assert_eq!(hdr.ecn(), EcnCodepoint::Ect1);
+        assert_eq!(hdr.dscp(), Dscp::BEST_EFFORT);
+
+        // Mixed families fall back to an unroutable v4 header, keeping the
+        // protocol, TTL and codepoint.
+        let unspecified = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
+        for (src, dst) in [(v4(1), a), (a, v4(1))] {
+            let hdr = IpHeader::between(src, dst, IpProtocol::Udp, 9, EcnCodepoint::Ect0);
+            assert!(!hdr.is_v6());
+            assert_eq!((hdr.src(), hdr.dst()), (unspecified, unspecified));
+            assert_eq!(hdr.protocol(), IpProtocol::Udp);
+            assert_eq!(hdr.ttl(), 9);
+            assert_eq!(hdr.ecn(), EcnCodepoint::Ect0);
+            assert_eq!(hdr.dscp(), Dscp::BEST_EFFORT);
+        }
+    }
+
+    #[test]
+    fn udp_datagram_round_trips_through_the_wire() {
+        for (src, dst) in [
+            ("192.0.2.1:48000", "198.51.100.7:443"),
+            ("[2001:db8::1]:48000", "[2001:db8::2]:443"),
+        ] {
+            let (src, dst): (SocketAddr, SocketAddr) = (src.parse().unwrap(), dst.parse().unwrap());
+            let dgram = IpDatagram::udp(src, dst, EcnCodepoint::Ect0, b"quic initial");
+            assert_eq!(dgram.header.protocol(), IpProtocol::Udp);
+            assert_eq!(dgram.header.ttl(), 64);
+            assert_eq!(dgram.header.ecn(), EcnCodepoint::Ect0);
+            assert!(UdpHeader::verify_checksum(
+                src.ip(),
+                dst.ip(),
+                &dgram.payload
+            ));
+
+            let parsed = IpDatagram::from_bytes(&dgram.to_bytes()).unwrap();
+            assert_eq!(parsed, dgram);
+            assert_eq!(parsed.udp_payload(), Some(&b"quic initial"[..]));
+            let (udp, _) = UdpHeader::decode(&parsed.payload).unwrap();
+            assert_eq!((udp.src_port, udp.dst_port), (48_000, 443));
+        }
+
+        // Another protocol, or a truncated UDP header, has no UDP payload.
+        let mut dgram = IpDatagram::new(IpHeader::V4(v4()), vec![0; 4]);
+        assert_eq!(dgram.udp_payload(), None);
+        dgram.header = IpHeader::between(
+            IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpProtocol::Tcp,
+            64,
+            EcnCodepoint::NotEct,
+        );
+        assert_eq!(dgram.udp_payload(), None);
     }
 
     #[test]

@@ -26,25 +26,20 @@
 //! last, run until that flow is done.  Without cross traffic the engine
 //! holds that one flow and no shared queues, bit-identical to the
 //! historical per-connection loop; with it, the same flow runs next to
-//! background [`LoadFlow`]s through a shared bottleneck, which is where CE
+//! background [`LoadFlow`](qem_netsim::engine::LoadFlow)s through a shared bottleneck, which is where CE
 //! marking becomes load-dependent.  Either way the run ends with the
 //! measured connection.
-//! The legacy `run_connection*` function matrix survives as thin deprecated
-//! wrappers, each proven equivalent by the existing tests.
 
 use crate::behavior::ServerBehavior;
 use crate::client::{ClientConfig, ClientConnection, ClientReport};
 use crate::server::ServerConnection;
-use qem_netsim::engine::{
-    CrossTraffic, Engine, EngineTelemetry, Flow, FlowStatus, LoadFlow, SharedQueues,
-};
+use qem_netsim::engine::{CrossTraffic, Engine, EngineTelemetry, Flow, FlowStatus, SharedQueues};
 use qem_netsim::{DuplexPath, SimDuration, SimInstant};
-use qem_packet::ecn::{EcnCodepoint, EcnCounts};
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ecn::EcnCounts;
+use qem_packet::ip::IpDatagram;
 use qem_packet::quic::QUIC_PORT;
-use qem_packet::udp::UdpHeader;
 use rand::Rng;
-use std::net::IpAddr;
+use std::net::{IpAddr, SocketAddr};
 
 /// Driver parameters.
 #[derive(Debug, Clone)]
@@ -112,7 +107,6 @@ pub struct QuicFlow<'a, R: Rng + ?Sized> {
     forward_arrival_ecn: EcnCounts,
     forward_losses: u64,
     reverse_losses: u64,
-    done: bool,
 }
 
 impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
@@ -137,13 +131,7 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
             forward_arrival_ecn: EcnCounts::ZERO,
             forward_losses: 0,
             reverse_losses: 0,
-            done: false,
         }
-    }
-
-    /// Whether the flow has finished.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Consume the flow and build the connection outcome.
@@ -160,18 +148,13 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
     /// One bidirectional drain pass; returns whether anything moved.
     fn drain(&mut self, net: &mut SharedQueues) -> bool {
         let mut activity = false;
+        let client = SocketAddr::new(self.config.client_addr, self.config.client_port);
+        let server = SocketAddr::new(self.config.server_addr, QUIC_PORT);
 
         // Client → server.
         while let Some(transmit) = self.client.poll_transmit(self.now) {
             activity = true;
-            let datagram = encapsulate(
-                self.config.client_addr,
-                self.config.server_addr,
-                self.config.client_port,
-                QUIC_PORT,
-                transmit.ecn,
-                &transmit.payload,
-            );
+            let datagram = IpDatagram::udp(client, server, transmit.ecn, &transmit.payload);
             match self
                 .path
                 .forward
@@ -179,9 +162,9 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
             {
                 qem_netsim::TransitOutcome::Delivered { datagram, .. } => {
                     self.forward_arrival_ecn.record(datagram.header.ecn());
-                    if let Some(payload) = decapsulate(&datagram) {
+                    if let Some(payload) = datagram.udp_payload() {
                         self.server
-                            .handle_datagram(self.now, datagram.header.ecn(), &payload);
+                            .handle_datagram(self.now, datagram.header.ecn(), payload);
                     }
                 }
                 _ => self.forward_losses += 1,
@@ -191,23 +174,16 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         // Server → client.
         while let Some(transmit) = self.server.poll_transmit(self.now) {
             activity = true;
-            let datagram = encapsulate(
-                self.config.server_addr,
-                self.config.client_addr,
-                QUIC_PORT,
-                self.config.client_port,
-                transmit.ecn,
-                &transmit.payload,
-            );
+            let datagram = IpDatagram::udp(server, client, transmit.ecn, &transmit.payload);
             match self
                 .path
                 .reverse
                 .transit_shared(&datagram, self.now, self.rng, net)
             {
                 qem_netsim::TransitOutcome::Delivered { datagram, .. } => {
-                    if let Some(payload) = decapsulate(&datagram) {
+                    if let Some(payload) = datagram.udp_payload() {
                         self.client
-                            .handle_datagram(self.now, datagram.header.ecn(), &payload);
+                            .handle_datagram(self.now, datagram.header.ecn(), payload);
                     }
                 }
                 _ => self.reverse_losses += 1,
@@ -234,7 +210,6 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
 
         loop {
             if self.iterations >= self.config.max_iterations {
-                self.done = true;
                 return FlowStatus::Done;
             }
             self.iterations += 1;
@@ -242,7 +217,6 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
             let activity = self.drain(net);
 
             if self.client.is_closed() {
-                self.done = true;
                 return FlowStatus::Done;
             }
             if activity {
@@ -263,10 +237,7 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
                     // be woken "now" — the engine clamps to the present.
                     return FlowStatus::Sleep(t.max(self.now));
                 }
-                _ => {
-                    self.done = true;
-                    return FlowStatus::Done;
-                }
+                _ => return FlowStatus::Done,
             }
         }
     }
@@ -285,13 +256,11 @@ pub struct RunOutcome {
     pub telemetry: Option<EngineTelemetry>,
 }
 
-/// Builder for one QUIC measurement connection — the single entrypoint
-/// replacing the old `run_connection` × `_under_load` × `_with_telemetry`
-/// function matrix.
+/// Builder for one QUIC measurement connection — the single way to run one,
+/// selecting cross traffic and telemetry.
 ///
 /// Defaults mirror the paper's methodology: no cross traffic (an otherwise
-/// idle path) and no telemetry.  Every combination is bit-identical to the
-/// legacy function it replaces; reading telemetry is side-effect free and
+/// idle path) and no telemetry.  Reading telemetry is side-effect free and
 /// a disabled cross-traffic scenario leaves the RNG stream untouched.
 #[derive(Debug)]
 pub struct ConnectionRun<'a> {
@@ -347,9 +316,13 @@ impl<'a> ConnectionRun<'a> {
         self
     }
 
-    /// Drive the connection to completion.  The RNG draws, in order: the
-    /// client seed, the server seed, then the load seed only when cross
-    /// traffic attaches (see [`CrossTraffic::attach`]).
+    /// Drive the connection to completion on one engine: background load
+    /// flows register first so their first packets occupy the bottleneck
+    /// before the measured connection's initial burst (FIFO tie-break at
+    /// the epoch); whatever load is still pending when the measured flow
+    /// finishes is never simulated.  The RNG draws, in order: the client
+    /// seed, the server seed, then the load seed only when cross traffic
+    /// attaches (see [`CrossTraffic::attach`]).
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> RunOutcome {
         let ConnectionRun {
             client_config,
@@ -363,7 +336,14 @@ impl<'a> ConnectionRun<'a> {
         let mut server = ServerConnection::new(behavior, rng.gen());
         let (queues, mut loads) = cross.attach(&path.forward, rng);
         let mut flow = QuicFlow::new(&mut client, &mut server, path, &driver, rng);
-        let telemetry = drive(&mut flow, queues, &mut loads, want_telemetry);
+        let mut engine = Engine::new(queues);
+        for load in loads.iter_mut() {
+            engine.add_flow(load);
+        }
+        let measured = engine.add_flow(&mut flow);
+        engine.run_until_done(measured);
+        let telemetry = want_telemetry.then(|| engine.telemetry());
+        drop(engine);
         RunOutcome {
             connection: flow.into_outcome(),
             telemetry,
@@ -371,155 +351,7 @@ impl<'a> ConnectionRun<'a> {
     }
 }
 
-/// Run a complete client↔server exchange over `path`.
-#[deprecated(note = "use the ConnectionRun builder: \
-                     ConnectionRun::new(config, behavior, path, driver).execute(rng)")]
-pub fn run_connection<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
-) -> ConnectionOutcome {
-    ConnectionRun::new(client_config, behavior, path, config.clone())
-        .execute(rng)
-        .connection
-}
-
-/// Like `run_connection`, additionally returning the engine's telemetry
-/// (event counts, queue metrics, the virtual-time wake trace).  Reading
-/// telemetry is side-effect free: the outcome is bit-identical to
-/// `run_connection` with the same inputs.
-#[deprecated(note = "use the ConnectionRun builder with .telemetry(true)")]
-pub fn run_connection_with_telemetry<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
-) -> (ConnectionOutcome, EngineTelemetry) {
-    let out = ConnectionRun::new(client_config, behavior, path, config.clone())
-        .telemetry(true)
-        .execute(rng);
-    (out.connection, out.telemetry.unwrap_or_default())
-}
-
-/// Run a prepared client and server to completion (exposed for tests that
-/// need access to the endpoints afterwards): a one-flow engine with no
-/// shared queues, the unloaded [`ConnectionRun`] path.
-pub fn run_with_endpoints<R: Rng + ?Sized>(
-    client: &mut ClientConnection,
-    server: &mut ServerConnection,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
-) -> ConnectionOutcome {
-    let mut flow = QuicFlow::new(client, server, path, config, rng);
-    drive(&mut flow, SharedQueues::new(), &mut [], false);
-    flow.into_outcome()
-}
-
-/// Run the measured `flow` on one engine over `queues` until it is done.
-/// Background `loads` register first so their first packets occupy the
-/// bottleneck before the measured connection's initial burst (FIFO
-/// tie-break at the epoch); whatever load is still pending when the
-/// measured flow finishes is never simulated.
-fn drive<R: Rng + ?Sized>(
-    flow: &mut QuicFlow<'_, R>,
-    queues: SharedQueues,
-    loads: &mut [LoadFlow],
-    want_telemetry: bool,
-) -> Option<EngineTelemetry> {
-    let mut engine = Engine::new(queues);
-    for load in loads.iter_mut() {
-        engine.add_flow(load);
-    }
-    let measured = engine.add_flow(flow);
-    engine.run_until_done(measured);
-    want_telemetry.then(|| engine.telemetry())
-}
-
-/// Run a client↔server exchange while `cross` background flows push packets
-/// through the forward path's bottleneck router.  With a disabled scenario
-/// this falls back to the plain single-flow run exactly.
-#[deprecated(note = "use the ConnectionRun builder with .cross_traffic(cross)")]
-pub fn run_connection_under_load<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    cross: &CrossTraffic,
-    rng: &mut R,
-) -> ConnectionOutcome {
-    ConnectionRun::new(client_config, behavior, path, config.clone())
-        .cross_traffic(*cross)
-        .execute(rng)
-        .connection
-}
-
-/// Like `run_connection_under_load`, additionally returning the engine's
-/// telemetry — under load this includes the shared bottleneck's per-router
-/// queue metrics (`queue.r<id>.*`: CE marks, tail drops, occupancy).
-#[deprecated(note = "use the ConnectionRun builder with \
-                     .cross_traffic(cross).telemetry(true)")]
-pub fn run_connection_under_load_with_telemetry<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    cross: &CrossTraffic,
-    rng: &mut R,
-) -> (ConnectionOutcome, EngineTelemetry) {
-    let out = ConnectionRun::new(client_config, behavior, path, config.clone())
-        .cross_traffic(*cross)
-        .telemetry(true)
-        .execute(rng);
-    (out.connection, out.telemetry.unwrap_or_default())
-}
-
-fn encapsulate(
-    src: IpAddr,
-    dst: IpAddr,
-    src_port: u16,
-    dst_port: u16,
-    ecn: EcnCodepoint,
-    payload: &[u8],
-) -> IpDatagram {
-    let udp = UdpHeader::new(src_port, dst_port).encode(src, dst, payload);
-    let header = match (src, dst) {
-        (IpAddr::V4(s), IpAddr::V4(d)) => {
-            IpHeader::V4(Ipv4Header::new(s, d, IpProtocol::Udp, 64).with_ecn(ecn))
-        }
-        (IpAddr::V6(s), IpAddr::V6(d)) => {
-            IpHeader::V6(Ipv6Header::new(s, d, IpProtocol::Udp, 64).with_ecn(ecn))
-        }
-        // Mixed families indicate a mis-built scenario; default to v4 with
-        // unspecified addresses so the failure is visible (nothing will match).
-        _ => IpHeader::V4(
-            Ipv4Header::new(
-                std::net::Ipv4Addr::UNSPECIFIED,
-                std::net::Ipv4Addr::UNSPECIFIED,
-                IpProtocol::Udp,
-                64,
-            )
-            .with_ecn(ecn),
-        ),
-    };
-    IpDatagram::new(header, udp)
-}
-
-fn decapsulate(datagram: &IpDatagram) -> Option<Vec<u8>> {
-    if datagram.header.protocol() != IpProtocol::Udp {
-        return None;
-    }
-    let (_, payload) = UdpHeader::decode(&datagram.payload).ok()?;
-    Some(payload.to_vec())
-}
-
 #[cfg(test)]
-// The legacy wrappers are exercised deliberately: these tests are the proof
-// that each deprecated function stays equivalent to its builder form.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::behavior::{EcnMirroringBehavior, ServerBehavior};
@@ -741,16 +573,17 @@ mod tests {
         let forward = build_transit_path(Asn::DFN, Asn(16509), TransitProfile::Clean, true);
         let path = DuplexPath::symmetric_clean_reverse(forward);
         let mut rng = StdRng::seed_from_u64(13);
-        let outcome = run_connection(
+        let outcome = ConnectionRun::new(
             ClientConfig::paper_default("v6.example.org"),
             ServerBehavior::accurate(),
             &path,
-            &DriverConfig::new(
+            DriverConfig::new(
                 "2001:db8::10".parse().unwrap(),
                 "2001:db8:1::443".parse().unwrap(),
             ),
-            &mut rng,
-        );
+        )
+        .execute(&mut rng)
+        .connection;
         assert!(outcome.report.connected);
         assert_eq!(outcome.report.ecn_state, EcnValidationState::Capable);
     }
@@ -772,37 +605,40 @@ mod tests {
         assert!(!outcome.report.server_used_ecn);
     }
 
-    #[test]
-    fn cross_traffic_marks_what_a_lone_flow_never_sees() {
-        use qem_netsim::CrossTraffic;
+    /// One run of the paper's default client against an accurate server
+    /// over `path`, with `cross` traffic and, if asked, telemetry.
+    fn run_loaded(
+        path: &DuplexPath,
+        cross: CrossTraffic,
+        telemetry: bool,
+        seed: u64,
+    ) -> RunOutcome {
         let (client_addr, server_addr) = addrs();
-        let path = clean_path();
-        let driver = DriverConfig::new(client_addr, server_addr);
-
-        // Alone on a clean path: no CE, ever.
-        let mut rng = StdRng::seed_from_u64(77);
-        let solo = run_connection(
+        let mut rng = StdRng::seed_from_u64(seed);
+        ConnectionRun::new(
             ClientConfig::paper_default("www.example.org"),
             ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
-        );
+            path,
+            DriverConfig::new(client_addr, server_addr),
+        )
+        .cross_traffic(cross)
+        .telemetry(telemetry)
+        .execute(&mut rng)
+    }
+
+    #[test]
+    fn cross_traffic_marks_what_a_lone_flow_never_sees() {
+        let path = clean_path();
+
+        // Alone on a clean path: no CE, ever.
+        let solo = run(ServerBehavior::accurate(), &path, 77);
         assert!(solo.report.connected);
         assert_eq!(solo.report.mirrored_counts.ce, 0);
         assert_eq!(solo.forward_arrival_ecn.ce, 0);
 
         // Same connection, same seed, but behind a congested shared
         // bottleneck: the combined occupancy pushes the AQM into marking.
-        let mut rng = StdRng::seed_from_u64(77);
-        let loaded = run_connection_under_load(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &CrossTraffic::congested(),
-            &mut rng,
-        );
+        let loaded = run_loaded(&path, CrossTraffic::congested(), false, 77).connection;
         assert!(
             loaded.forward_arrival_ecn.ce > 0,
             "shared-queue occupancy must CE-mark the measured flow"
@@ -813,41 +649,22 @@ mod tests {
         );
 
         // And a disabled scenario is the single-flow run, bit for bit.
-        let mut rng = StdRng::seed_from_u64(77);
-        let off = run_connection_under_load(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &CrossTraffic::none(),
-            &mut rng,
-        );
+        let off = run_loaded(&path, CrossTraffic::none(), false, 77).connection;
         assert_eq!(off, solo);
     }
 
     #[test]
     fn telemetry_variant_is_outcome_identical_and_observes_the_run() {
-        let (client_addr, server_addr) = addrs();
         let path = clean_path();
-        let driver = DriverConfig::new(client_addr, server_addr);
 
-        let mut rng = StdRng::seed_from_u64(55);
-        let plain = run_connection(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
+        let plain = run_loaded(&path, CrossTraffic::none(), false, 55);
+        assert!(plain.telemetry.is_none(), "telemetry is strictly opt-in");
+        let observed = run_loaded(&path, CrossTraffic::none(), true, 55);
+        assert_eq!(
+            observed.connection, plain.connection,
+            "telemetry reads must not perturb the run"
         );
-        let mut rng = StdRng::seed_from_u64(55);
-        let (observed, telemetry) = run_connection_with_telemetry(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
-        );
-        assert_eq!(observed, plain, "telemetry reads must not perturb the run");
+        let telemetry = observed.telemetry.expect("telemetry requested");
         let events = telemetry
             .metrics
             .counter("engine.events_processed")
@@ -855,19 +672,13 @@ mod tests {
         assert!(events > 0);
         assert_eq!(telemetry.trace.len() as u64, events, "one wake per event");
         assert!(telemetry.trace.windows(2).all(|w| w[0].at <= w[1].at));
-        // No shared queues in the single-flow wrapper: no queue metrics.
+        // No shared queues in the single-flow run: no queue metrics.
         assert!(telemetry.metrics.counter("queue.r1.enqueued").is_none());
 
         // Under congestion the same API surfaces the bottleneck's counters.
-        let mut rng = StdRng::seed_from_u64(55);
-        let (_, loaded) = run_connection_under_load_with_telemetry(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &qem_netsim::CrossTraffic::congested(),
-            &mut rng,
-        );
+        let loaded = run_loaded(&path, CrossTraffic::congested(), true, 55)
+            .telemetry
+            .expect("telemetry requested");
         let marked: u64 = loaded
             .metrics
             .metrics
@@ -876,48 +687,6 @@ mod tests {
             .filter_map(|(name, _)| loaded.metrics.counter(name))
             .sum();
         assert!(marked > 0, "congested bottleneck must report CE marks");
-    }
-
-    #[test]
-    fn builder_is_equivalent_to_every_legacy_wrapper() {
-        let (client_addr, server_addr) = addrs();
-        let path = clean_path();
-        let driver = DriverConfig::new(client_addr, server_addr);
-        let config = || ClientConfig::paper_default("www.example.org");
-
-        // Plain run, no telemetry requested.
-        let mut rng = StdRng::seed_from_u64(91);
-        let legacy = run_connection(
-            config(),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = ConnectionRun::new(config(), ServerBehavior::accurate(), &path, driver.clone())
-            .execute(&mut rng);
-        assert_eq!(built.connection, legacy);
-        assert!(built.telemetry.is_none(), "telemetry is strictly opt-in");
-
-        // Under load, with telemetry: outcome and telemetry both match.
-        let cross = CrossTraffic::congested();
-        let mut rng = StdRng::seed_from_u64(91);
-        let (legacy, legacy_tel) = run_connection_under_load_with_telemetry(
-            config(),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &cross,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = ConnectionRun::new(config(), ServerBehavior::accurate(), &path, driver.clone())
-            .cross_traffic(cross)
-            .telemetry(true)
-            .execute(&mut rng);
-        assert_eq!(built.connection, legacy);
-        assert_eq!(built.telemetry, Some(legacy_tel));
     }
 
     /// The loaded builder run next to the same engine built by hand and run
@@ -1003,13 +772,14 @@ mod tests {
     fn ce_probing_mode_reports_mirrored_ce() {
         let (client_addr, server_addr) = addrs();
         let mut rng = StdRng::seed_from_u64(15);
-        let outcome = run_connection(
+        let outcome = ConnectionRun::new(
             ClientConfig::force_ce("www.example.org"),
             ServerBehavior::accurate(),
             &clean_path(),
-            &DriverConfig::new(client_addr, server_addr),
-            &mut rng,
-        );
+            DriverConfig::new(client_addr, server_addr),
+        )
+        .execute(&mut rng)
+        .connection;
         assert!(outcome.report.connected);
         assert!(outcome.report.mirrored_counts.ce >= 5);
         assert_eq!(outcome.report.mirrored_counts.ect0, 0);

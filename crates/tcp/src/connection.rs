@@ -14,15 +14,13 @@
 //! engine with no shared queues (bit-identical to the historical
 //! straight-line script); with [`TcpConnectionRun::cross_traffic`] the flow
 //! runs next to background load through a shared bottleneck queue, where CE
-//! marks — and therefore ECE echoes — emerge from combined occupancy.  The
-//! legacy `run_tcp_connection*` functions survive as thin deprecated
-//! wrappers.
+//! marks — and therefore ECE echoes — emerge from combined occupancy.
 
 use crate::behavior::TcpServerBehavior;
 use qem_netsim::engine::{CrossTraffic, Engine, EngineTelemetry, Flow, FlowStatus, SharedQueues};
 use qem_netsim::{DuplexPath, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use qem_packet::tcp::{TcpFlags, TcpHeader};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -116,7 +114,8 @@ impl<'a> Wire<'a> {
         payload: &[u8],
     ) -> Option<IpDatagram> {
         let segment = header.encode(self.client, self.server, payload);
-        let datagram = encapsulate(self.client, self.server, ecn, segment);
+        let ip = IpHeader::between(self.client, self.server, IpProtocol::Tcp, 64, ecn);
+        let datagram = IpDatagram::new(ip, segment);
         match self.path.forward.transit_shared(&datagram, now, rng, net) {
             TransitOutcome::Delivered { datagram, .. } => Some(datagram),
             _ => None,
@@ -133,33 +132,13 @@ impl<'a> Wire<'a> {
         payload: &[u8],
     ) -> Option<IpDatagram> {
         let segment = header.encode(self.server, self.client, payload);
-        let datagram = encapsulate(self.server, self.client, ecn, segment);
+        let ip = IpHeader::between(self.server, self.client, IpProtocol::Tcp, 64, ecn);
+        let datagram = IpDatagram::new(ip, segment);
         match self.path.reverse.transit_shared(&datagram, now, rng, net) {
             TransitOutcome::Delivered { datagram, .. } => Some(datagram),
             _ => None,
         }
     }
-}
-
-fn encapsulate(src: IpAddr, dst: IpAddr, ecn: EcnCodepoint, payload: Vec<u8>) -> IpDatagram {
-    let header = match (src, dst) {
-        (IpAddr::V4(s), IpAddr::V4(d)) => {
-            IpHeader::V4(Ipv4Header::new(s, d, IpProtocol::Tcp, 64).with_ecn(ecn))
-        }
-        (IpAddr::V6(s), IpAddr::V6(d)) => {
-            IpHeader::V6(Ipv6Header::new(s, d, IpProtocol::Tcp, 64).with_ecn(ecn))
-        }
-        _ => IpHeader::V4(
-            Ipv4Header::new(
-                std::net::Ipv4Addr::UNSPECIFIED,
-                std::net::Ipv4Addr::UNSPECIFIED,
-                IpProtocol::Tcp,
-                64,
-            )
-            .with_ecn(ecn),
-        ),
-    };
-    IpDatagram::new(header, payload)
 }
 
 fn decode(datagram: &IpDatagram) -> Option<(TcpHeader, Vec<u8>)> {
@@ -246,11 +225,6 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
     pub fn with_pacing(mut self, interval: SimDuration) -> Self {
         self.pacing = interval;
         self
-    }
-
-    /// Whether the exchange has finished.
-    pub fn is_done(&self) -> bool {
-        self.state == TcpFlowState::Finished
     }
 
     /// Consume the flow and return the scanner's observations.
@@ -449,13 +423,10 @@ pub struct TcpRunOutcome {
 }
 
 /// Builder for one TCP measurement connection — the mirror of `qem_quic`'s
-/// `ConnectionRun`, replacing the `run_tcp_connection` /
-/// `run_tcp_connection_under_load` pair.
+/// `ConnectionRun` and the single way to run one.
 ///
 /// Defaults mirror the paper's methodology: no cross traffic, no telemetry.
-/// Each combination is bit-identical to the legacy function it replaces,
-/// and — new with the builder — TCP runs can now capture engine telemetry
-/// just like QUIC runs.
+/// TCP runs capture engine telemetry just like QUIC runs.
 #[derive(Debug)]
 pub struct TcpConnectionRun<'a> {
     config: TcpClientConfig,
@@ -547,45 +518,7 @@ impl<'a> TcpConnectionRun<'a> {
     }
 }
 
-/// Run one TCP connection between a client at `client_addr` and a server at
-/// `server_addr` over `path`, returning the scanner's observations.
-#[deprecated(note = "use the TcpConnectionRun builder: \
-                     TcpConnectionRun::new(..).execute(rng).report")]
-pub fn run_tcp_connection<R: Rng + ?Sized>(
-    config: TcpClientConfig,
-    behavior: TcpServerBehavior,
-    client_addr: IpAddr,
-    server_addr: IpAddr,
-    path: &DuplexPath,
-    rng: &mut R,
-) -> TcpReport {
-    TcpConnectionRun::new(config, behavior, client_addr, server_addr, path)
-        .execute(rng)
-        .report
-}
-
-/// Run one TCP connection while `cross` background flows push packets
-/// through the forward path's bottleneck router (its last hop).
-#[deprecated(note = "use the TcpConnectionRun builder with .cross_traffic(cross)")]
-pub fn run_tcp_connection_under_load<R: Rng + ?Sized>(
-    config: TcpClientConfig,
-    behavior: TcpServerBehavior,
-    client_addr: IpAddr,
-    server_addr: IpAddr,
-    path: &DuplexPath,
-    cross: &CrossTraffic,
-    rng: &mut R,
-) -> TcpReport {
-    TcpConnectionRun::new(config, behavior, client_addr, server_addr, path)
-        .cross_traffic(*cross)
-        .execute(rng)
-        .report
-}
-
 #[cfg(test)]
-// The legacy wrappers are exercised deliberately: these tests are the proof
-// that each deprecated function stays equivalent to its builder form.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use qem_netsim::{build_transit_path, Asn, TransitProfile};
@@ -748,38 +681,46 @@ mod tests {
         assert!(report.forward_losses >= 1);
     }
 
+    /// ECT(0) probing of a full-ECN server over `path` with `cross` traffic.
+    fn run_loaded(path: &DuplexPath, cross: CrossTraffic, seed: u64) -> TcpReport {
+        let (c, s) = addrs();
+        let mut rng = StdRng::seed_from_u64(seed);
+        TcpConnectionRun::new(
+            TcpClientConfig::ect0(),
+            TcpServerBehavior::full_ecn(),
+            c,
+            s,
+            path,
+        )
+        .cross_traffic(cross)
+        .execute(&mut rng)
+        .report
+    }
+
     #[test]
     fn cross_traffic_triggers_ece_echo_for_ect0_probes() {
-        use qem_netsim::CrossTraffic;
-        let (c, s) = addrs();
         let path = clean();
 
         // ECT(0) probing alone never produces an ECE echo on a clean path…
+        let (c, s) = addrs();
         let mut rng = StdRng::seed_from_u64(99);
-        let solo = run_tcp_connection(
+        let solo = TcpConnectionRun::new(
             TcpClientConfig::ect0(),
             TcpServerBehavior::full_ecn(),
             c,
             s,
             &path,
-            &mut rng,
-        );
+        )
+        .execute(&mut rng);
+        assert!(solo.telemetry.is_none(), "telemetry is strictly opt-in");
+        let solo = solo.report;
         assert!(solo.negotiated);
         assert!(!solo.ce_mirrored);
         assert_eq!(solo.server_observed_ecn.ce, 0);
 
         // …but behind a congested shared bottleneck the probes arrive CE and
         // the server echoes ECE.
-        let mut rng = StdRng::seed_from_u64(99);
-        let loaded = run_tcp_connection_under_load(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &CrossTraffic::congested(),
-            &mut rng,
-        );
+        let loaded = run_loaded(&path, CrossTraffic::congested(), 99);
         assert!(loaded.negotiated);
         assert!(
             loaded.server_observed_ecn.ce > 0,
@@ -788,74 +729,8 @@ mod tests {
         assert!(loaded.ce_mirrored, "the server must echo the marks via ECE");
 
         // A disabled scenario is the single-flow run, bit for bit.
-        let mut rng = StdRng::seed_from_u64(99);
-        let off = run_tcp_connection_under_load(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &CrossTraffic::none(),
-            &mut rng,
-        );
+        let off = run_loaded(&path, CrossTraffic::none(), 99);
         assert_eq!(off, solo);
-    }
-
-    #[test]
-    fn builder_is_equivalent_to_every_legacy_wrapper() {
-        use qem_netsim::CrossTraffic;
-        let (c, s) = addrs();
-        let path = clean();
-
-        // Plain run: builder == run_tcp_connection, with no telemetry
-        // captured unless asked for.
-        let mut rng = StdRng::seed_from_u64(91);
-        let legacy = run_tcp_connection(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = TcpConnectionRun::new(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-        )
-        .execute(&mut rng);
-        assert_eq!(built.report, legacy);
-        assert!(built.telemetry.is_none());
-
-        // Loaded run: builder with cross traffic == the under-load wrapper,
-        // and telemetry capture does not perturb the report.
-        let cross = CrossTraffic::congested();
-        let mut rng = StdRng::seed_from_u64(91);
-        let legacy = run_tcp_connection_under_load(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &cross,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = TcpConnectionRun::new(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-        )
-        .cross_traffic(cross)
-        .telemetry(true)
-        .execute(&mut rng);
-        assert_eq!(built.report, legacy);
-        assert!(built.telemetry.is_some());
     }
 
     /// The loaded builder run next to the same engine built by hand and run
@@ -863,7 +738,6 @@ mod tests {
     /// depend on simulating load past the paced exchange's end.
     #[test]
     fn stopping_with_the_measured_exchange_never_changes_the_report() {
-        use qem_netsim::CrossTraffic;
         let (c, s) = addrs();
         let path = clean();
         let cross = CrossTraffic::congested();
@@ -914,14 +788,15 @@ mod tests {
         let forward = build_transit_path(Asn::DFN, Asn(13335), TransitProfile::Clean, true);
         let path = DuplexPath::symmetric_clean_reverse(forward);
         let mut rng = StdRng::seed_from_u64(7);
-        let report = run_tcp_connection(
+        let report = TcpConnectionRun::new(
             TcpClientConfig::force_ce(),
             TcpServerBehavior::full_ecn(),
             "2001:db8::1".parse().unwrap(),
             "2001:db8:2::9".parse().unwrap(),
             &path,
-            &mut rng,
-        );
+        )
+        .execute(&mut rng)
+        .report;
         assert!(report.connected);
         assert!(report.ce_mirrored);
     }

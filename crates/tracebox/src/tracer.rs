@@ -3,15 +3,14 @@
 use qem_netsim::{Path, SimDuration, TransitOutcome};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
 use qem_packet::icmp::IcmpMessage;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{IpDatagram, IpHeader};
 use qem_packet::quic::{
     ConnectionId, Frame, LongPacketType, PacketHeader, QuicPacket, QuicVersion, MIN_INITIAL_SIZE,
     QUIC_PORT,
 };
-use qem_packet::udp::UdpHeader;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::net::IpAddr;
+use std::net::{IpAddr, SocketAddr};
 
 /// Configuration of a path trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -118,34 +117,15 @@ fn build_probe(
         },
         payload,
     );
-    let udp = UdpHeader::new(44_000 + (seq as u16 % 1000), QUIC_PORT).encode(
-        source,
-        destination,
+    let mut probe = IpDatagram::udp(
+        SocketAddr::new(source, 44_000 + (seq as u16 % 1000)),
+        SocketAddr::new(destination, QUIC_PORT),
+        config.probe_codepoint,
         &packet.encode(),
     );
-    let header = match (source, destination) {
-        (IpAddr::V4(s), IpAddr::V4(d)) => IpHeader::V4(
-            Ipv4Header::new(s, d, IpProtocol::Udp, ttl)
-                .with_ecn(config.probe_codepoint)
-                .with_dscp(config.probe_dscp),
-        ),
-        (IpAddr::V6(s), IpAddr::V6(d)) => {
-            let mut h =
-                Ipv6Header::new(s, d, IpProtocol::Udp, ttl).with_ecn(config.probe_codepoint);
-            h.dscp = config.probe_dscp;
-            IpHeader::V6(h)
-        }
-        _ => IpHeader::V4(
-            Ipv4Header::new(
-                std::net::Ipv4Addr::UNSPECIFIED,
-                std::net::Ipv4Addr::UNSPECIFIED,
-                IpProtocol::Udp,
-                ttl,
-            )
-            .with_ecn(config.probe_codepoint),
-        ),
-    };
-    IpDatagram::new(header, udp)
+    probe.header.set_ttl(ttl);
+    probe.header.set_dscp(config.probe_dscp);
+    probe
 }
 
 /// Extract the quoted traffic class from an ICMP time-exceeded response.
@@ -334,8 +314,7 @@ mod tests {
         assert!(probe.wire_len() >= MIN_INITIAL_SIZE);
         assert_eq!(probe.header.ttl(), 3);
         assert_eq!(probe.header.ecn(), EcnCodepoint::Ect0);
-        let (_, udp_payload) = UdpHeader::decode(&probe.payload).unwrap();
-        let (packet, _) = QuicPacket::decode(udp_payload, 8).unwrap();
+        let (packet, _) = QuicPacket::decode(probe.udp_payload().unwrap(), 8).unwrap();
         assert!(packet.header.is_initial());
     }
 

@@ -21,14 +21,13 @@
 
 use qem_netsim::{DuplexPath, Flow, FlowStatus, SharedQueues, SimDuration, SimInstant};
 use qem_packet::ecn::EcnCodepoint;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header};
-use qem_packet::udp::UdpHeader;
+use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use qem_quic::app::{AppDataSource, BulkObject, FrameSource, StreamPacketizer};
 use qem_tcp::app::SegmentPacketizer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 /// Maximum application bytes per packet (a QUIC-ish 1200-byte segment).
 pub const MSS: usize = 1_200;
@@ -55,20 +54,6 @@ fn endpoint_addrs(conn: u8) -> (IpAddr, IpAddr) {
         IpAddr::V4(Ipv4Addr::new(198, 18, 1, conn)),
         IpAddr::V4(Ipv4Addr::new(198, 19, 1, 1)),
     )
-}
-
-fn encapsulate(
-    src: IpAddr,
-    dst: IpAddr,
-    ecn: EcnCodepoint,
-    protocol: IpProtocol,
-    transport_bytes: Vec<u8>,
-) -> IpDatagram {
-    let (IpAddr::V4(src_v4), IpAddr::V4(dst_v4)) = (src, dst) else {
-        unreachable!("workload endpoints are IPv4");
-    };
-    let header = IpHeader::V4(Ipv4Header::new(src_v4, dst_v4, protocol, 64).with_ecn(ecn));
-    IpDatagram::new(header, transport_bytes)
 }
 
 /// What the bulk sender learns about one packet, delivered as a timed event.
@@ -234,15 +219,18 @@ impl BulkAppFlow {
     ) {
         let (src, dst) = endpoint_addrs(self.conn);
         let chunk = qem_quic::app::AppChunk { offset, len, fin };
-        let (protocol, transport_bytes) = match &mut self.packetizer {
-            Packetizer::Quic(p) => {
-                let quic_bytes = p.packetize(&chunk);
-                let udp = UdpHeader::new(50_000 + u16::from(self.conn), 443);
-                (IpProtocol::Udp, udp.encode(src, dst, &quic_bytes))
-            }
-            Packetizer::Tcp(p) => (IpProtocol::Tcp, p.packetize(src, dst, len)),
+        let datagram = match &mut self.packetizer {
+            Packetizer::Quic(p) => IpDatagram::udp(
+                SocketAddr::new(src, 50_000 + u16::from(self.conn)),
+                SocketAddr::new(dst, 443),
+                self.ecn,
+                &p.packetize(&chunk),
+            ),
+            Packetizer::Tcp(p) => IpDatagram::new(
+                IpHeader::between(src, dst, IpProtocol::Tcp, 64, self.ecn),
+                p.packetize(src, dst, len),
+            ),
         };
-        let datagram = encapsulate(src, dst, self.ecn, protocol, transport_bytes);
         self.packets_sent += 1;
         self.in_flight.insert(offset, len);
         match self
@@ -452,6 +440,8 @@ impl RtcAppFlow {
         let index = self.frames_generated;
         self.frames_generated += 1;
         let (src, dst) = endpoint_addrs(self.conn);
+        let src = SocketAddr::new(src, 51_000 + u16::from(self.conn));
+        let dst = SocketAddr::new(dst, 443);
         let mut state = FrameState {
             generated: now,
             outstanding: 0,
@@ -461,9 +451,7 @@ impl RtcAppFlow {
         };
         for chunk in self.source.next_frame(MSS) {
             let quic_bytes = self.packetizer.packetize(&chunk);
-            let udp = UdpHeader::new(51_000 + u16::from(self.conn), 443);
-            let transport_bytes = udp.encode(src, dst, &quic_bytes);
-            let datagram = encapsulate(src, dst, self.ecn, IpProtocol::Udp, transport_bytes);
+            let datagram = IpDatagram::udp(src, dst, self.ecn, &quic_bytes);
             match self
                 .path
                 .forward
